@@ -15,524 +15,91 @@
 //! metric's threshold at once (tightening or loosening the whole gate).
 
 use bench::{Args, Table};
-use obs::RunReport;
+use obs::MetricValue::{Exact, Num};
+use obs::{Direction, Gate, Metric, Presence, RunReport};
 use std::process::ExitCode;
-
-/// How a metric's movement maps to "regressed".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Direction {
-    /// Growth beyond the threshold regresses (times, message counts).
-    HigherIsWorse,
-    /// Shrinkage beyond the threshold regresses (recall).
-    LowerIsWorse,
-    /// Reported for context, never gated (wall clock, throughput).
-    Info,
-}
 
 #[derive(Debug, Clone)]
 struct MetricRow {
     name: String,
     base: f64,
     cand: f64,
-    /// Relative threshold (0.05 = 5% movement allowed).
-    threshold: f64,
-    direction: Direction,
+    gate: Gate,
 }
 
 impl MetricRow {
     /// Signed relative delta `(cand - base) / base`; `None` when the
     /// baseline is zero and the candidate moved (infinite relative change).
     fn rel_delta(&self) -> Option<f64> {
-        if self.base == 0.0 {
-            if self.cand == 0.0 {
-                Some(0.0)
-            } else {
-                None
-            }
-        } else {
-            Some((self.cand - self.base) / self.base)
+        match (self.base, self.cand) {
+            (b, c) if b != 0.0 => Some((c - b) / b),
+            (_, c) => (c == 0.0).then_some(0.0),
         }
     }
 
     fn regressed(&self) -> bool {
-        let bad = match self.rel_delta() {
+        let t = self.gate.tolerance;
+        match (self.gate.direction, self.rel_delta()) {
+            (Direction::Info, _) => false,
             // 0 -> nonzero: infinite relative growth.
-            None => self.cand > self.base,
-            Some(d) => match self.direction {
-                Direction::HigherIsWorse => d > self.threshold,
-                Direction::LowerIsWorse => -d > self.threshold,
-                Direction::Info => false,
-            },
-        };
-        bad && self.direction != Direction::Info
+            (_, None) => self.cand > self.base,
+            (Direction::HigherIsWorse, Some(d)) => d > t,
+            (Direction::LowerIsWorse, Some(d)) => -d > t,
+        }
     }
 }
 
-/// Default per-metric relative thresholds. Counters of a deterministic
-/// simulation get tight gates; virtual times a little slack (cost-model
-/// tweaks shift them slightly); recall its own quality gate.
-fn threshold_for(name: &str) -> (f64, Direction) {
-    use Direction::*;
-    match name {
-        "wall_secs" => (0.0, Info),
-        "recall" => (0.02, LowerIsWorse),
-        "sim_secs" | "compute_secs" | "comm_secs" | "barrier_secs" => (0.10, HigherIsWorse),
-        "iterations" => (0.0, HigherIsWorse),
-        n if n.starts_with("faults.") => (0.0, HigherIsWorse),
-        // RNN-Descent counters are bit-identical across reruns and rank
-        // counts, so every one of them gates exactly: any drift means the
-        // occlusion rule or round schedule changed.
-        "rnn.rounds" | "rnn.reverse_added_total" => (0.0, HigherIsWorse),
-        n if n.starts_with("rnn.") => (0.0, HigherIsWorse),
-        // Serving SLOs: counters of the deterministic control plane gate
-        // exactly; answered/cache-hit shrinkage is the regression side;
-        // latency percentiles get slack for search-cost tweaks.
-        "serving.answered" | "serving.cache_hits" => (0.0, LowerIsWorse),
-        "serving.p50_ns" | "serving.p95_ns" | "serving.p99_ns" => (0.10, HigherIsWorse),
-        // Client-perceived percentiles carry shed-retry time, so they get
-        // the same slack as the answered-side percentiles.
-        "serving.client_p50_ns" | "serving.client_p99_ns" => (0.10, HigherIsWorse),
-        // Per-tenant SLO rows (`serving.tenant.<name>.<key>`): the
-        // admission ladder is seed-deterministic, so shed/served counters
-        // gate exactly per class; only the latency percentiles get slack.
-        n if n.starts_with("serving.tenant.") => {
-            if n.ends_with(".p50_ns") || n.ends_with(".p99_ns") {
-                (0.10, HigherIsWorse)
-            } else if n.ends_with(".answered")
-                || n.ends_with(".admitted")
-                || n.ends_with(".cache_hits")
-                || n.ends_with(".slo_attainment")
-            {
-                (0.0, LowerIsWorse)
-            } else {
-                (0.0, HigherIsWorse)
+/// The outcome of comparing two reports group by group.
+#[derive(Debug, Default)]
+struct Diff {
+    rows: Vec<MetricRow>,
+    /// Required baseline sections the candidate dropped: a hard failure,
+    /// not "nothing to compare".
+    missing: Vec<&'static str>,
+    /// Exact values (digests) that differ: `(path, baseline, candidate)`.
+    drifted: Vec<(String, u64, u64)>,
+}
+
+/// Compare every metric group of two reports under the groups' declared
+/// presence rules. `thr` overrides every gated metric's tolerance.
+fn diff(base: &RunReport, cand: &RunReport, thr: Option<f64>) -> Diff {
+    let mut d = Diff::default();
+    for (bg, cg) in base.metric_groups().into_iter().zip(cand.metric_groups()) {
+        let (b, c) = (bg.metrics.as_deref(), cg.metrics.as_deref());
+        let named = |m: &&str| bg.name.starts_with(&format!("{m}."));
+        if bg.required && b.is_some() && c.is_none() && !d.missing.iter().any(named) {
+            d.missing.push(bg.name);
+        }
+        let rows = match bg.presence {
+            Presence::Either => b.or(c),
+            Presence::Baseline | Presence::Both => b,
+        };
+        for m in rows.unwrap_or_default() {
+            let side = |ms: Option<&[Metric]>| Some(ms?.iter().find(|x| x.path == m.path)?.value);
+            let num = |v| if let Some(Num(x, _)) = v { x } else { 0.0 };
+            match (m.value, side(b), side(c)) {
+                (Exact(_), Some(Exact(x)), Some(Exact(y))) if x != y => {
+                    d.drifted.push((m.path.clone(), x, y))
+                }
+                // A digest compares only when both sides carry it.
+                (Exact(_), ..) => {}
+                (_, _, None) if bg.presence == Presence::Both => {}
+                (Num(_, mut gate), bv, cv) => {
+                    if gate.direction != Direction::Info {
+                        gate.tolerance = thr.unwrap_or(gate.tolerance);
+                    }
+                    let (name, base, cand) = (m.path.clone(), num(bv), num(cv));
+                    d.rows.push(MetricRow {
+                        name,
+                        base,
+                        cand,
+                        gate,
+                    });
+                }
             }
         }
-        n if n.starts_with("serving.") => (0.0, HigherIsWorse),
-        // Per-query forensics: the whole section is a pure function of
-        // the serve seed, so every sampler counter gates exactly in both
-        // directions (fewer retained records means the sampler lost
-        // coverage); bit-identity of the records themselves is enforced
-        // by the digest hard-check, not a relative threshold.
-        "query_forensics.retained"
-        | "query_forensics.retained_slow"
-        | "query_forensics.retained_exemplar"
-        | "query_forensics.considered" => (0.0, LowerIsWorse),
-        n if n.starts_with("query_forensics.") => (0.0, HigherIsWorse),
-        // Vector-DB product layer: collection mutations and the filter
-        // pipeline are pure PRFs of the serve seed, so every counter
-        // gates exactly. Shrinking live points / filtered coverage is the
-        // regression side; growth of tombstone debt, cache suppression,
-        // or mutation counts gates as drift from the pinned schedule.
-        "vdb.live" | "vdb.filtered_queries" => (0.0, LowerIsWorse),
-        n if n.starts_with("vdb.") => (0.0, HigherIsWorse),
-        // Critical-path attribution: the path length and its dominant
-        // buckets follow the virtual-time gates; the small noisy buckets
-        // (stall residue, retransmit charge) and the imbalance score get
-        // extra slack so a cost-model tweak doesn't trip them.
-        "critical_path.stall_ns" | "critical_path.retransmit_ns" => (0.25, HigherIsWorse),
-        "critical_path.straggler_score" => (0.15, HigherIsWorse),
-        n if n.starts_with("critical_path.") => (0.10, HigherIsWorse),
-        n if n.starts_with("extra.") => (0.0, Info),
-        _ => (0.05, HigherIsWorse),
     }
-}
-
-fn push(rows: &mut Vec<MetricRow>, name: &str, base: f64, cand: f64, thr: Option<f64>) {
-    let (default_thr, direction) = threshold_for(name);
-    rows.push(MetricRow {
-        name: name.to_string(),
-        base,
-        cand,
-        threshold: match direction {
-            Direction::Info => default_thr,
-            _ => thr.unwrap_or(default_thr),
-        },
-        direction,
-    });
-}
-
-/// Flatten the comparable metrics of two reports into rows. `thr`
-/// overrides every gated metric's threshold.
-fn collect(base: &RunReport, cand: &RunReport, thr: Option<f64>) -> Vec<MetricRow> {
-    let mut rows = Vec::new();
-    push(
-        &mut rows,
-        "iterations",
-        base.iterations as f64,
-        cand.iterations as f64,
-        thr,
-    );
-    push(
-        &mut rows,
-        "distance_evals",
-        base.distance_evals as f64,
-        cand.distance_evals as f64,
-        thr,
-    );
-    push(&mut rows, "sim_secs", base.sim_secs, cand.sim_secs, thr);
-    push(
-        &mut rows,
-        "compute_secs",
-        base.compute_secs,
-        cand.compute_secs,
-        thr,
-    );
-    push(&mut rows, "comm_secs", base.comm_secs, cand.comm_secs, thr);
-    push(
-        &mut rows,
-        "barrier_secs",
-        base.barrier_secs,
-        cand.barrier_secs,
-        thr,
-    );
-    push(
-        &mut rows,
-        "total_count",
-        base.total_count as f64,
-        cand.total_count as f64,
-        thr,
-    );
-    push(
-        &mut rows,
-        "total_bytes",
-        base.total_bytes as f64,
-        cand.total_bytes as f64,
-        thr,
-    );
-    push(
-        &mut rows,
-        "total_remote_count",
-        base.total_remote_count as f64,
-        cand.total_remote_count as f64,
-        thr,
-    );
-    push(
-        &mut rows,
-        "total_remote_bytes",
-        base.total_remote_bytes as f64,
-        cand.total_remote_bytes as f64,
-        thr,
-    );
-    if base.recall.is_some() || cand.recall.is_some() {
-        push(
-            &mut rows,
-            "recall",
-            base.recall.unwrap_or(0.0),
-            cand.recall.unwrap_or(0.0),
-            thr,
-        );
-    }
-    push(&mut rows, "wall_secs", base.wall_secs, cand.wall_secs, thr);
-
-    // Fault/reliable-delivery counters: present when either run carried a
-    // fault plan; a fault-free side contributes zeros, so new fault
-    // activity in the candidate gates as growth from zero.
-    if base.faults.is_some() || cand.faults.is_some() {
-        let d = obs::FaultSection::default();
-        let b = base.faults.as_ref().unwrap_or(&d);
-        let c = cand.faults.as_ref().unwrap_or(&d);
-        for (key, bv, cv) in [
-            ("dropped", b.dropped, c.dropped),
-            ("duplicated", b.duplicated, c.duplicated),
-            ("delayed", b.delayed, c.delayed),
-            ("stalls", b.stalls, c.stalls),
-            ("jittered_flushes", b.jittered_flushes, c.jittered_flushes),
-            ("retransmits", b.retransmits, c.retransmits),
-            ("dedup_discards", b.dedup_discards, c.dedup_discards),
-            (
-                "forced_deliveries",
-                b.forced_deliveries,
-                c.forced_deliveries,
-            ),
-        ] {
-            push(
-                &mut rows,
-                &format!("faults.{key}"),
-                bv as f64,
-                cv as f64,
-                thr,
-            );
-        }
-    }
-
-    // Serving SLO section: present when either run served queries; a
-    // side without the section contributes zeros, so new shedding or
-    // degradation in the candidate gates as growth from zero.
-    if base.serving.is_some() || cand.serving.is_some() {
-        let d = obs::ServingSection::default();
-        let b = base.serving.as_ref().unwrap_or(&d);
-        let c = cand.serving.as_ref().unwrap_or(&d);
-        for (key, bv, cv) in [
-            ("offered", b.offered, c.offered),
-            ("admitted", b.admitted, c.admitted),
-            ("answered", b.answered, c.answered),
-            ("cache_hits", b.cache_hits, c.cache_hits),
-            ("cache_evictions", b.cache_evictions, c.cache_evictions),
-            ("shed_deadline", b.shed_deadline, c.shed_deadline),
-            ("shed_overload", b.shed_overload, c.shed_overload),
-            ("degraded", b.degraded, c.degraded),
-            ("max_queue_depth", b.max_queue_depth, c.max_queue_depth),
-            ("p50_ns", b.p50_ns, c.p50_ns),
-            ("p95_ns", b.p95_ns, c.p95_ns),
-            ("p99_ns", b.p99_ns, c.p99_ns),
-        ] {
-            push(
-                &mut rows,
-                &format!("serving.{key}"),
-                bv as f64,
-                cv as f64,
-                thr,
-            );
-        }
-        // Client-perceived percentiles (schema v7). Gated only when the
-        // baseline measured them: a v6 baseline diffed against a v7
-        // candidate is schema growth, not "growth from zero".
-        if b.client_p99_ns > 0 || !b.client_hist.is_empty() {
-            for (key, bv, cv) in [
-                ("client_p50_ns", b.client_p50_ns, c.client_p50_ns),
-                ("client_p99_ns", b.client_p99_ns, c.client_p99_ns),
-            ] {
-                push(
-                    &mut rows,
-                    &format!("serving.{key}"),
-                    bv as f64,
-                    cv as f64,
-                    thr,
-                );
-            }
-        }
-        // Per-tenant SLO rows, matched by class name, gated only when the
-        // baseline declared classes (same schema-growth rule). A class the
-        // candidate lost compares against zeros and gates hard.
-        for bt in &b.tenants {
-            let dt = obs::TenantSloSection::default();
-            let ct = c.tenants.iter().find(|t| t.name == bt.name).unwrap_or(&dt);
-            for (key, bv, cv) in [
-                ("offered", bt.offered, ct.offered),
-                ("admitted", bt.admitted, ct.admitted),
-                ("answered", bt.answered, ct.answered),
-                ("cache_hits", bt.cache_hits, ct.cache_hits),
-                ("shed_overload", bt.shed_overload, ct.shed_overload),
-                ("shed_deadline", bt.shed_deadline, ct.shed_deadline),
-                ("degraded", bt.degraded, ct.degraded),
-                ("p50_ns", bt.p50_ns, ct.p50_ns),
-                ("p99_ns", bt.p99_ns, ct.p99_ns),
-            ] {
-                push(
-                    &mut rows,
-                    &format!("serving.tenant.{}.{key}", bt.name),
-                    bv as f64,
-                    cv as f64,
-                    thr,
-                );
-            }
-            push(
-                &mut rows,
-                &format!("serving.tenant.{}.slo_attainment", bt.name),
-                bt.slo_attainment,
-                ct.slo_attainment,
-                thr,
-            );
-        }
-    }
-
-    // Per-query forensics: present when either run profiled queries; a
-    // side without the section contributes zeros. Sampler counters gate
-    // exactly (the section is seed-deterministic).
-    if base.query_forensics.is_some() || cand.query_forensics.is_some() {
-        let d = obs::QueryForensicsSection::default();
-        let b = base.query_forensics.as_ref().unwrap_or(&d);
-        let c = cand.query_forensics.as_ref().unwrap_or(&d);
-        for (key, bv, cv) in [
-            ("considered", b.considered, c.considered),
-            ("retained", b.retained, c.retained),
-            ("retained_slow", b.retained_slow, c.retained_slow),
-            (
-                "retained_exemplar",
-                b.retained_exemplar,
-                c.retained_exemplar,
-            ),
-            ("window_slots", b.window_slots, c.window_slots),
-            ("slow_n", b.slow_n, c.slow_n),
-        ] {
-            push(
-                &mut rows,
-                &format!("query_forensics.{key}"),
-                bv as f64,
-                cv as f64,
-                thr,
-            );
-        }
-    }
-
-    // RNN-Descent optimization counters: the pass is deterministic, so
-    // every aggregate gates exactly (threshold 0). A side without the
-    // section contributes zeros; growth from zero gates.
-    if base.rnn.is_some() || cand.rnn.is_some() {
-        let d = obs::RnnSection::default();
-        let b = base.rnn.as_ref().unwrap_or(&d);
-        let c = cand.rnn.as_ref().unwrap_or(&d);
-        let sums = |s: &obs::RnnSection| {
-            (
-                s.rounds.len() as u64,
-                s.rounds.iter().map(|r| r.pruned).sum::<u64>(),
-                s.rounds.iter().map(|r| r.added).sum::<u64>(),
-                s.reverse_added.iter().sum::<u64>(),
-            )
-        };
-        let (br, bp, ba, brv) = sums(b);
-        let (cr, cp, ca, crv) = sums(c);
-        for (key, bv, cv) in [
-            ("rounds", br, cr),
-            ("pruned_total", bp, cp),
-            ("added_total", ba, ca),
-            ("reverse_added_total", brv, crv),
-            ("dist_evals", b.dist_evals, c.dist_evals),
-            ("repaired", b.repaired, c.repaired),
-        ] {
-            push(&mut rows, &format!("rnn.{key}"), bv as f64, cv as f64, thr);
-        }
-    }
-
-    // Vector-DB product layer. Gated only when the *baseline* carries the
-    // section (a candidate-only section is schema growth, e.g. a v7
-    // baseline diffed against a v8 candidate); a candidate that dropped
-    // it fails hard via `missing_sections`. Counters are summed over
-    // namespaces; the epoch gates as the per-namespace maximum.
-    if base.vdb.is_some() {
-        let d = obs::VdbSection::default();
-        let b = base.vdb.as_ref().unwrap_or(&d);
-        let c = cand.vdb.as_ref().unwrap_or(&d);
-        let sums = |s: &obs::VdbSection| {
-            let f = |get: fn(&obs::VdbNamespaceSection) -> u64| {
-                s.namespaces.iter().map(get).sum::<u64>()
-            };
-            (
-                f(|n| n.points),
-                f(|n| n.live),
-                f(|n| n.tombstones),
-                f(|n| n.dead),
-                s.namespaces.iter().map(|n| n.epoch).max().unwrap_or(0),
-                f(|n| n.inserts),
-                f(|n| n.deletes),
-                f(|n| n.compactions),
-            )
-        };
-        let (bp, bl, bt, bd, be, bi, bdel, bc) = sums(b);
-        let (cp, cl, ct, cd, ce, ci, cdel, cc) = sums(c);
-        for (key, bv, cv) in [
-            ("points", bp, cp),
-            ("live", bl, cl),
-            ("tombstones", bt, ct),
-            ("dead", bd, cd),
-            ("epoch", be, ce),
-            ("inserts", bi, ci),
-            ("deletes", bdel, cdel),
-            ("compactions", bc, cc),
-            ("filtered_queries", b.filtered_queries, c.filtered_queries),
-            (
-                "cache_suppressed_ids",
-                b.cache_suppressed_ids,
-                c.cache_suppressed_ids,
-            ),
-        ] {
-            push(&mut rows, &format!("vdb.{key}"), bv as f64, cv as f64, thr);
-        }
-    }
-
-    // Critical-path attribution. Gated only when the *baseline* carries
-    // the section: a candidate-only section is schema growth (e.g. a v3
-    // baseline diffed against a v4 candidate), not a regression, while a
-    // candidate that *dropped* the section is a hard failure via
-    // `missing_sections` — its rows here (against zeros) are informational
-    // context for that failure.
-    if base.critical_path.is_some() {
-        let d = obs::CriticalPathSection::default();
-        let b = base.critical_path.as_ref().unwrap_or(&d);
-        let c = cand.critical_path.as_ref().unwrap_or(&d);
-        for (key, bv, cv) in [
-            ("critical_path_ns", b.critical_path_ns, c.critical_path_ns),
-            ("collective_ns", b.collective_ns, c.collective_ns),
-            ("compute_ns", b.compute_ns, c.compute_ns),
-            ("comm_ns", b.comm_ns, c.comm_ns),
-            ("stall_ns", b.stall_ns, c.stall_ns),
-            ("retransmit_ns", b.retransmit_ns, c.retransmit_ns),
-        ] {
-            push(
-                &mut rows,
-                &format!("critical_path.{key}"),
-                bv as f64,
-                cv as f64,
-                thr,
-            );
-        }
-        push(
-            &mut rows,
-            "critical_path.straggler_score",
-            b.straggler_score,
-            c.straggler_score,
-            thr,
-        );
-    }
-
-    // Free-form metrics appearing in both reports (informational: the
-    // schema cannot know which way each one points).
-    for (k, bv) in &base.extra {
-        if let Some((_, cv)) = cand.extra.iter().find(|(ck, _)| ck == k) {
-            push(&mut rows, &format!("extra.{k}"), *bv, *cv, thr);
-        }
-    }
-    rows
-}
-
-/// Optional report sections present in the baseline but absent from the
-/// candidate. A producer silently dropping a section must not slip past
-/// the gate as "nothing to compare", so this is a hard failure naming
-/// each missing section.
-fn missing_sections(base: &RunReport, cand: &RunReport) -> Vec<&'static str> {
-    let mut missing = Vec::new();
-    if base.faults.is_some() && cand.faults.is_none() {
-        missing.push("faults");
-    }
-    if base.serving.is_some() && cand.serving.is_none() {
-        missing.push("serving");
-    }
-    // A candidate that kept the serving section but silently dropped the
-    // per-tenant breakdown must not slip past as "nothing to compare".
-    if base.serving.as_ref().is_some_and(|s| !s.tenants.is_empty())
-        && cand.serving.as_ref().is_some_and(|s| s.tenants.is_empty())
-    {
-        missing.push("serving.tenants");
-    }
-    if base.rnn.is_some() && cand.rnn.is_none() {
-        missing.push("rnn");
-    }
-    if base.query_forensics.is_some() && cand.query_forensics.is_none() {
-        missing.push("query_forensics");
-    }
-    if base.vdb.is_some() && cand.vdb.is_none() {
-        missing.push("vdb");
-    }
-    if base.critical_path.is_some() && cand.critical_path.is_none() {
-        missing.push("critical_path");
-    }
-    if base.matrix.is_some() && cand.matrix.is_none() {
-        missing.push("matrix");
-    }
-    missing
-}
-
-/// Bit-identity hard check: the forensics digest is a pure function of
-/// the serve seed and parameters, so when both reports carry the section
-/// the digests must match verbatim. Compared as the original `u64` (a
-/// relative-delta row would round through `f64` and could miss drift in
-/// the low bits).
-fn forensics_digest_drift(base: &RunReport, cand: &RunReport) -> Option<(u64, u64)> {
-    match (&base.query_forensics, &cand.query_forensics) {
-        (Some(b), Some(c)) if b.digest != c.digest => Some((b.digest, c.digest)),
-        _ => None,
-    }
+    d
 }
 
 fn fmt_value(v: f64) -> String {
@@ -551,12 +118,10 @@ fn fmt_delta(r: &MetricRow) -> String {
 }
 
 fn status(r: &MetricRow) -> &'static str {
-    if r.direction == Direction::Info {
-        "info"
-    } else if r.regressed() {
-        "REGRESSION"
-    } else {
-        "ok"
+    match (r.gate.direction, r.regressed()) {
+        (Direction::Info, _) => "info",
+        (_, true) => "REGRESSION",
+        _ => "ok",
     }
 }
 
@@ -597,7 +162,7 @@ fn run() -> Result<bool, String> {
         );
     }
 
-    let rows = collect(&base, &cand, thr);
+    let out = diff(&base, &cand, thr);
     let mut table = Table::new(
         &format!("report diff: {base_path} -> {cand_path}"),
         &[
@@ -609,12 +174,12 @@ fn run() -> Result<bool, String> {
             "status",
         ],
     );
-    for r in &rows {
+    for r in &out.rows {
         let (b, c, d) = (fmt_value(r.base), fmt_value(r.cand), fmt_delta(r));
-        let t = if r.direction == Direction::Info {
+        let t = if r.gate.direction == Direction::Info {
             "-".to_string()
         } else {
-            format!("{:.0}%", r.threshold * 100.0)
+            format!("{:.0}%", r.gate.tolerance * 100.0)
         };
         table.row(&[&r.name, &b, &c, &d, &t, &status(r)]);
     }
@@ -626,20 +191,18 @@ fn run() -> Result<bool, String> {
         println!("wrote {}", path.display());
     }
 
-    let missing = missing_sections(&base, &cand);
-    let digest_drift = forensics_digest_drift(&base, &cand);
-    let regressed: Vec<&MetricRow> = rows.iter().filter(|r| r.regressed()).collect();
-    if !missing.is_empty() {
+    let regressed: Vec<&MetricRow> = out.rows.iter().filter(|r| r.regressed()).collect();
+    if !out.missing.is_empty() {
         println!(
             "\nFAIL: candidate report is missing section(s) present in the baseline: {}",
-            missing.join(", ")
+            out.missing.join(", ")
         );
     }
-    if let Some((b, c)) = digest_drift {
+    for (path, b, c) in &out.drifted {
         println!(
-            "\nFAIL: query_forensics digest drifted: {b:016x} -> {c:016x} \
-             (the section is seed-deterministic; any drift means the \
-             lifecycle records changed)"
+            "\nFAIL: {path} drifted: {b:016x} -> {c:016x} \
+             (the section is seed-deterministic; any drift means its \
+             records changed)"
         );
     }
     if !regressed.is_empty() {
@@ -651,11 +214,11 @@ fn run() -> Result<bool, String> {
                 fmt_value(r.base),
                 fmt_value(r.cand),
                 fmt_delta(r),
-                r.threshold * 100.0
+                r.gate.tolerance * 100.0
             );
         }
     }
-    if missing.is_empty() && regressed.is_empty() && digest_drift.is_none() {
+    if out.missing.is_empty() && regressed.is_empty() && out.drifted.is_empty() {
         println!("\nPASS: all gated metrics within thresholds");
         Ok(true)
     } else {
@@ -694,6 +257,19 @@ mod tests {
         r
     }
 
+    fn diff_rows(base: &RunReport, cand: &RunReport, thr: Option<f64>) -> Vec<MetricRow> {
+        diff(base, cand, thr).rows
+    }
+
+    fn missing_groups(base: &RunReport, cand: &RunReport) -> Vec<&'static str> {
+        diff(base, cand, None).missing
+    }
+
+    fn digest_drift(base: &RunReport, cand: &RunReport) -> Option<(u64, u64)> {
+        let drifted = diff(base, cand, None).drifted;
+        drifted.first().map(|(_, b, c)| (*b, *c))
+    }
+
     fn row_named<'a>(rows: &'a [MetricRow], name: &str) -> &'a MetricRow {
         rows.iter().find(|r| r.name == name).unwrap()
     }
@@ -701,7 +277,7 @@ mod tests {
     #[test]
     fn identical_reports_pass_every_gate() {
         let r = report(1.5, 100_000);
-        let rows = collect(&r, &r, None);
+        let rows = diff_rows(&r, &r, None);
         assert!(rows.iter().all(|m| !m.regressed()));
         assert!(rows.iter().any(|m| m.name == "wall_secs"));
     }
@@ -710,7 +286,7 @@ mod tests {
     fn slowdown_beyond_threshold_regresses() {
         let base = report(1.0, 100_000);
         let cand = report(1.5, 100_000); // +50% sim time vs 10% gate
-        let rows = collect(&base, &cand, None);
+        let rows = diff_rows(&base, &cand, None);
         assert!(row_named(&rows, "sim_secs").regressed());
         assert!(!row_named(&rows, "distance_evals").regressed());
     }
@@ -719,7 +295,7 @@ mod tests {
     fn improvement_never_regresses_higher_is_worse() {
         let base = report(2.0, 100_000);
         let cand = report(1.0, 50_000);
-        let rows = collect(&base, &cand, None);
+        let rows = diff_rows(&base, &cand, None);
         assert!(rows.iter().all(|m| !m.regressed()));
     }
 
@@ -729,10 +305,10 @@ mod tests {
         let mut cand = report(1.0, 1);
         base.recall = Some(0.95);
         cand.recall = Some(0.90); // -5.3% vs 2% gate
-        let rows = collect(&base, &cand, None);
+        let rows = diff_rows(&base, &cand, None);
         assert!(row_named(&rows, "recall").regressed());
         // Upward recall is fine.
-        let rows = collect(&cand, &base, None);
+        let rows = diff_rows(&cand, &base, None);
         assert!(!row_named(&rows, "recall").regressed());
     }
 
@@ -745,7 +321,7 @@ mod tests {
             retransmits: 7,
             ..Default::default()
         });
-        let rows = collect(&base, &cand, None);
+        let rows = diff_rows(&base, &cand, None);
         let r = row_named(&rows, "faults.retransmits");
         assert_eq!(r.rel_delta(), None);
         assert!(r.regressed());
@@ -769,12 +345,12 @@ mod tests {
             p99_ns: 4_100_000, // +2.5%, inside the 10% latency gate
             ..Default::default()
         });
-        let rows = collect(&base, &cand, None);
+        let rows = diff_rows(&base, &cand, None);
         assert!(row_named(&rows, "serving.answered").regressed());
         assert!(row_named(&rows, "serving.shed_overload").regressed());
         assert!(!row_named(&rows, "serving.p99_ns").regressed());
         // The reverse direction (more answered, less shedding) is fine.
-        let rows = collect(&cand, &base, None);
+        let rows = diff_rows(&cand, &base, None);
         assert!(rows
             .iter()
             .filter(|r| r.name.starts_with("serving."))
@@ -807,7 +383,7 @@ mod tests {
         });
         // Identical per-tenant counters: every row inside the gate.
         cand.serving = base.serving.clone();
-        let rows = collect(&base, &cand, None);
+        let rows = diff_rows(&base, &cand, None);
         assert!(rows
             .iter()
             .filter(|r| r.name.starts_with("serving.tenant."))
@@ -819,7 +395,7 @@ mod tests {
             tenants: vec![tenant("gold", 0, 98), tenant("free", 11, 79)],
             ..Default::default()
         });
-        let rows = collect(&base, &cand, None);
+        let rows = diff_rows(&base, &cand, None);
         assert!(row_named(&rows, "serving.tenant.free.shed_overload").regressed());
         assert!(row_named(&rows, "serving.tenant.free.answered").regressed());
         assert!(row_named(&rows, "serving.tenant.free.slo_attainment").regressed());
@@ -829,12 +405,12 @@ mod tests {
             offered: 200,
             ..Default::default()
         });
-        assert_eq!(missing_sections(&base, &cand), vec!["serving.tenants"]);
+        assert_eq!(missing_groups(&base, &cand), vec!["serving.tenants"]);
         // A tenant-less baseline gates nothing tenant-shaped (schema
         // growth when the candidate adds classes).
-        let rows = collect(&cand, &base, None);
+        let rows = diff_rows(&cand, &base, None);
         assert!(!rows.iter().any(|r| r.name.starts_with("serving.tenant.")));
-        assert!(missing_sections(&cand, &base).is_empty());
+        assert!(missing_groups(&cand, &base).is_empty());
     }
 
     #[test]
@@ -859,22 +435,22 @@ mod tests {
         let mut cand = report(1.0, 1);
         // v7-shaped baseline vs v8 candidate: schema growth, no rows.
         cand.vdb = Some(section(950, 40, 0));
-        let rows = collect(&base, &cand, None);
+        let rows = diff_rows(&base, &cand, None);
         assert!(!rows.iter().any(|r| r.name.starts_with("vdb.")));
-        assert!(missing_sections(&base, &cand).is_empty());
+        assert!(missing_groups(&base, &cand).is_empty());
         // Candidate dropped the section: hard failure.
         base.vdb = Some(section(950, 40, 0));
         cand.vdb = None;
-        assert_eq!(missing_sections(&base, &cand), vec!["vdb"]);
+        assert_eq!(missing_groups(&base, &cand), vec!["vdb"]);
         // Exact gates: fewer live points / filtered queries regress, and
         // cache-suppression growth regresses; identical sections pass.
         cand.vdb = Some(section(940, 30, 3));
-        let rows = collect(&base, &cand, None);
+        let rows = diff_rows(&base, &cand, None);
         assert!(row_named(&rows, "vdb.live").regressed());
         assert!(row_named(&rows, "vdb.filtered_queries").regressed());
         assert!(row_named(&rows, "vdb.cache_suppressed_ids").regressed());
         cand.vdb = base.vdb.clone();
-        let rows = collect(&base, &cand, None);
+        let rows = diff_rows(&base, &cand, None);
         assert!(rows
             .iter()
             .filter(|r| r.name.starts_with("vdb."))
@@ -894,7 +470,7 @@ mod tests {
             client_hist: vec![(2, 10)],
             ..Default::default()
         });
-        let rows = collect(&base, &cand, None);
+        let rows = diff_rows(&base, &cand, None);
         assert!(!rows.iter().any(|r| r.name.starts_with("serving.client_")));
         // Both measured: +20% client p99 trips the 10% latency gate.
         base.serving = Some(obs::ServingSection {
@@ -909,7 +485,7 @@ mod tests {
             client_hist: vec![(2, 10)],
             ..Default::default()
         });
-        let rows = collect(&base, &cand, None);
+        let rows = diff_rows(&base, &cand, None);
         assert!(!row_named(&rows, "serving.client_p50_ns").regressed());
         assert!(row_named(&rows, "serving.client_p99_ns").regressed());
     }
@@ -936,19 +512,19 @@ mod tests {
         };
         base.rnn = Some(section(40, 5_000));
         cand.rnn = Some(section(40, 5_000));
-        let rows = collect(&base, &cand, None);
+        let rows = diff_rows(&base, &cand, None);
         assert!(rows
             .iter()
             .filter(|r| r.name.starts_with("rnn."))
             .all(|r| !r.regressed()));
         // Any drift in the deterministic counters gates (threshold 0).
         cand.rnn = Some(section(41, 5_001));
-        let rows = collect(&base, &cand, None);
+        let rows = diff_rows(&base, &cand, None);
         assert!(row_named(&rows, "rnn.pruned_total").regressed());
         assert!(row_named(&rows, "rnn.dist_evals").regressed());
         // A candidate that silently dropped the section hard-fails.
         cand.rnn = None;
-        assert_eq!(missing_sections(&base, &cand), vec!["rnn"]);
+        assert_eq!(missing_groups(&base, &cand), vec!["rnn"]);
     }
 
     #[test]
@@ -966,55 +542,55 @@ mod tests {
         let mut cand = report(1.0, 1);
         base.query_forensics = Some(section(12, 0xAB));
         cand.query_forensics = Some(section(12, 0xAB));
-        let rows = collect(&base, &cand, None);
+        let rows = diff_rows(&base, &cand, None);
         assert!(rows
             .iter()
             .filter(|r| r.name.starts_with("query_forensics."))
             .all(|r| !r.regressed()));
-        assert!(forensics_digest_drift(&base, &cand).is_none());
+        assert!(digest_drift(&base, &cand).is_none());
         // Lost sampler coverage gates (threshold 0, downward).
         cand.query_forensics = Some(section(11, 0xAB));
-        let rows = collect(&base, &cand, None);
+        let rows = diff_rows(&base, &cand, None);
         assert!(row_named(&rows, "query_forensics.retained").regressed());
         // Digest drift is a hard failure even when every counter agrees.
         cand.query_forensics = Some(section(12, 0xCD));
-        let rows = collect(&base, &cand, None);
+        let rows = diff_rows(&base, &cand, None);
         assert!(rows
             .iter()
             .filter(|r| r.name.starts_with("query_forensics."))
             .all(|r| !r.regressed()));
-        assert_eq!(forensics_digest_drift(&base, &cand), Some((0xAB, 0xCD)));
+        assert_eq!(digest_drift(&base, &cand), Some((0xAB, 0xCD)));
         // A candidate that silently dropped the section hard-fails.
         cand.query_forensics = None;
-        assert_eq!(missing_sections(&base, &cand), vec!["query_forensics"]);
-        assert!(forensics_digest_drift(&base, &cand).is_none());
+        assert_eq!(missing_groups(&base, &cand), vec!["query_forensics"]);
+        assert!(digest_drift(&base, &cand).is_none());
     }
 
     #[test]
     fn forensics_free_pair_has_no_forensics_rows() {
         let r = report(1.0, 1);
-        let rows = collect(&r, &r, None);
+        let rows = diff_rows(&r, &r, None);
         assert!(!rows.iter().any(|m| m.name.starts_with("query_forensics.")));
     }
 
     #[test]
     fn rnn_free_pair_has_no_rnn_rows() {
         let r = report(1.0, 1);
-        let rows = collect(&r, &r, None);
+        let rows = diff_rows(&r, &r, None);
         assert!(!rows.iter().any(|m| m.name.starts_with("rnn.")));
     }
 
     #[test]
     fn serving_free_pair_has_no_serving_rows() {
         let r = report(1.0, 1);
-        let rows = collect(&r, &r, None);
+        let rows = diff_rows(&r, &r, None);
         assert!(!rows.iter().any(|m| m.name.starts_with("serving.")));
     }
 
     #[test]
     fn fault_free_pair_has_no_fault_rows() {
         let r = report(1.0, 1);
-        let rows = collect(&r, &r, None);
+        let rows = diff_rows(&r, &r, None);
         assert!(!rows.iter().any(|m| m.name.starts_with("faults.")));
     }
 
@@ -1022,13 +598,13 @@ mod tests {
     fn missing_baseline_sections_are_named() {
         let mut base = report(1.0, 1);
         let cand = report(1.0, 1);
-        assert!(missing_sections(&base, &cand).is_empty());
+        assert!(missing_groups(&base, &cand).is_empty());
         base.faults = Some(obs::FaultSection::default());
         base.critical_path = Some(obs::CriticalPathSection::default());
-        let missing = missing_sections(&base, &cand);
+        let missing = missing_groups(&base, &cand);
         assert_eq!(missing, vec!["faults", "critical_path"]);
         // A candidate-only section is growth, not loss: nothing missing.
-        assert!(missing_sections(&cand, &base).is_empty());
+        assert!(missing_groups(&cand, &base).is_empty());
     }
 
     #[test]
@@ -1046,13 +622,13 @@ mod tests {
         // +15% path length trips the 10% gate; +20% stall stays inside its
         // 25% slack; the score needs >15% growth to trip.
         cand.critical_path = Some(section(1_150_000_000, 120_000_000, 0.11));
-        let rows = collect(&base, &cand, None);
+        let rows = diff_rows(&base, &cand, None);
         assert!(row_named(&rows, "critical_path.critical_path_ns").regressed());
         assert!(!row_named(&rows, "critical_path.stall_ns").regressed());
         assert!(!row_named(&rows, "critical_path.straggler_score").regressed());
         let mut worse = report(1.0, 1);
         worse.critical_path = Some(section(1_000_000_000, 100_000_000, 0.20));
-        let rows = collect(&base, &worse, None);
+        let rows = diff_rows(&base, &worse, None);
         assert!(row_named(&rows, "critical_path.straggler_score").regressed());
     }
 
@@ -1060,11 +636,11 @@ mod tests {
     fn threshold_override_loosens_the_gate() {
         let base = report(1.0, 100_000);
         let cand = report(1.5, 100_000);
-        let rows = collect(&base, &cand, Some(0.6));
+        let rows = diff_rows(&base, &cand, Some(0.6));
         assert!(rows.iter().all(|m| !m.regressed()));
         // ... and tightens it.
         let cand = report(1.01, 100_000);
-        let rows = collect(&base, &cand, Some(0.001));
+        let rows = diff_rows(&base, &cand, Some(0.001));
         assert!(row_named(&rows, "sim_secs").regressed());
     }
 
@@ -1074,7 +650,7 @@ mod tests {
         let mut cand = report(1.0, 1);
         base.wall_secs = 0.1;
         cand.wall_secs = 99.0;
-        let rows = collect(&base, &cand, None);
+        let rows = diff_rows(&base, &cand, None);
         assert!(!row_named(&rows, "wall_secs").regressed());
         assert_eq!(status(row_named(&rows, "wall_secs")), "info");
     }

@@ -19,6 +19,7 @@
 pub mod chrome;
 pub mod critical_path;
 pub mod dashboard;
+pub mod gate;
 pub mod hist;
 pub mod json;
 pub mod report;
@@ -27,6 +28,7 @@ pub mod timeseries;
 pub mod tracer;
 
 pub use critical_path::{CriticalPathSection, PhaseAttribution, PhaseCost};
+pub use gate::{Direction, Gate, Metric, MetricGroup, MetricValue, Presence};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use json::JsonValue;
 pub use report::{

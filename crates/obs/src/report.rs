@@ -6,6 +6,7 @@
 //! the binaries translate from `ygm`/engine types when filling one in.
 
 use crate::critical_path::{CriticalPathSection, PhaseAttribution};
+use crate::gate::{gated, metrics, Direction, Gate, Metric, MetricGroup, MetricValue, Presence};
 use crate::hist::HistogramSnapshot;
 use crate::json::JsonValue as J;
 use crate::timeseries::{SeriesPoint, SeriesSnapshot};
@@ -548,6 +549,119 @@ impl RunReport {
             self.histograms.push(HistReport::from_snapshot(name, s));
         }
         self
+    }
+
+    /// Every gated metric, one group per section, in the same order for
+    /// every report. This is the one place a metric's gate is declared:
+    /// its direction and relative tolerance.
+    pub fn metric_groups(&self) -> Vec<MetricGroup> {
+        use Presence::{Baseline, Both, Either};
+        let (grow, shrink, time) = (Gate::GROWTH, Gate::SHRINK, Gate::TIME);
+        let slack = |t| Gate::new(Direction::HigherIsWorse, t);
+        let g = |name, presence, metrics| MetricGroup {
+            name,
+            presence,
+            required: true,
+            metrics,
+        };
+        let optional = |name, presence, metrics| MetricGroup {
+            required: false,
+            ..g(name, presence, metrics)
+        };
+        // Deterministic counters gate tightly, virtual times at 10% (cost-
+        // model tweaks shift them slightly), recall downward at 2%. Wall
+        // time depends on the host, so it is reported but never gated.
+        let top = gated!(self, ""; grow => iterations; slack(0.05) => distance_evals;
+            time => sim_secs, compute_secs, comm_secs, barrier_secs;
+            slack(0.05) => total_count, total_bytes, total_remote_count, total_remote_bytes);
+        let recall_gate = Gate::new(Direction::LowerIsWorse, 0.02);
+        let recall = |r| gated!(self, ""; recall_gate => recall = r);
+        let wall = gated!(self, ""; Gate::INFO => wall_secs);
+        let faults = self.faults.as_ref().map(|f| {
+            gated!(f, "faults"; grow => dropped, duplicated, delayed, stalls, jittered_flushes,
+                retransmits, dedup_discards, forced_deliveries)
+        });
+        // Serving control-plane counters are seed-deterministic and gate
+        // exactly, per tenant class too; answered/cache-hit shrinkage is
+        // the regression side; latency percentiles get 10%. Client-perceived
+        // percentiles (v7) carry shed-retry time.
+        let serving = self.serving.as_ref();
+        let serving_metrics = serving.map(|s| {
+            gated!(s, "serving"; grow => offered, admitted; shrink => answered, cache_hits;
+                grow => cache_evictions, shed_deadline, shed_overload, degraded, max_queue_depth;
+                time => p50_ns, p95_ns, p99_ns)
+        });
+        let client = serving
+            .filter(|s| s.client_p99_ns > 0 || !s.client_hist.is_empty())
+            .map(|s| gated!(s, "serving"; time => client_p50_ns, client_p99_ns));
+        let tenant = |t: &TenantSloSection| {
+            gated!(t, &format!("serving.tenant.{}", t.name); grow => offered;
+                shrink => admitted, answered, cache_hits;
+                grow => shed_overload, shed_deadline, degraded;
+                time => p50_ns, p99_ns; shrink => slo_attainment)
+        };
+        let tenants = serving
+            .filter(|s| !s.tenants.is_empty())
+            .map(|s| s.tenants.iter().flat_map(tenant).collect());
+        // Forensics is a pure function of the serve seed: fewer retained
+        // records means lost coverage, and the digest pins the records.
+        let forensics = self.query_forensics.as_ref().map(|q| {
+            let mut m = gated!(q, "query_forensics";
+                shrink => considered, retained, retained_slow, retained_exemplar;
+                grow => window_slots, slow_n);
+            let value = MetricValue::Exact(q.digest);
+            m.push(Metric {
+                path: "query_forensics.digest".into(),
+                value,
+            });
+            m
+        });
+        // The RNN pass is bit-identical across reruns and rank counts, so
+        // any drift means the occlusion rule or round schedule changed.
+        let rnn = self.rnn.as_ref().map(|r| {
+            let sum = |f: fn(&RnnRoundReport) -> u64| r.rounds.iter().map(f).sum::<u64>();
+            gated!(r, "rnn"; grow => rounds = r.rounds.len(), pruned_total = sum(|x| x.pruned),
+                added_total = sum(|x| x.added),
+                reverse_added_total = r.reverse_added.iter().sum::<u64>(), dist_evals, repaired)
+        });
+        // Vector-DB mutations and filters are pure PRFs of the serve seed;
+        // counters sum over namespaces, the epoch is the maximum.
+        let vdb = self.vdb.as_ref().map(|v| {
+            let ns = &v.namespaces;
+            let sum = |f: fn(&VdbNamespaceSection) -> u64| ns.iter().map(f).sum::<u64>();
+            gated!(v, "vdb"; grow => points = sum(|n| n.points); shrink => live = sum(|n| n.live);
+                grow => tombstones = sum(|n| n.tombstones), dead = sum(|n| n.dead),
+                    epoch = ns.iter().map(|n| n.epoch).max().unwrap_or(0),
+                    inserts = sum(|n| n.inserts), deletes = sum(|n| n.deletes),
+                    compactions = sum(|n| n.compactions);
+                shrink => filtered_queries; grow => cache_suppressed_ids)
+        });
+        // Critical-path buckets follow the virtual-time gate; the small
+        // noisy buckets and the imbalance score get extra slack.
+        let critical_path = self.critical_path.as_ref().map(|c| {
+            gated!(c, "critical_path"; time => critical_path_ns, collective_ns, compute_ns, comm_ns;
+                slack(0.25) => stall_ns, retransmit_ns; slack(0.15) => straggler_score)
+        });
+        let extra: Vec<_> = self
+            .extra
+            .iter()
+            .map(|(k, v)| (k.as_str(), *v, Gate::INFO))
+            .collect();
+        vec![
+            g("", Either, Some(top)),
+            optional("recall", Either, self.recall.map(recall)),
+            g("wall", Both, Some(wall)),
+            g("faults", Either, faults),
+            g("serving", Either, serving_metrics),
+            optional("serving.client", Baseline, client),
+            g("serving.tenants", Baseline, tenants),
+            g("query_forensics", Either, forensics),
+            g("rnn", Either, rnn),
+            g("vdb", Baseline, vdb),
+            g("critical_path", Baseline, critical_path),
+            g("matrix", Baseline, self.matrix.as_ref().map(|_| Vec::new())),
+            g("extra", Both, Some(metrics("extra", &extra))),
+        ]
     }
 
     pub fn to_json(&self) -> J {
@@ -1592,10 +1706,8 @@ mod tests {
         assert_eq!(back.faults, None);
     }
 
-    #[test]
-    fn vdb_section_round_trips() {
-        let mut r = sample_report();
-        r.vdb = Some(VdbSection {
+    fn sample_vdb() -> VdbSection {
+        VdbSection {
             namespaces: vec![VdbNamespaceSection {
                 name: "prod".into(),
                 points: 1_000,
@@ -1610,7 +1722,13 @@ mod tests {
             filtered_queries: 44,
             cache_suppressed_ids: 5,
             selectivity_hist: vec![(1, 10), (4, 30), (9, 4)],
-        });
+        }
+    }
+
+    #[test]
+    fn vdb_section_round_trips() {
+        let mut r = sample_report();
+        r.vdb = Some(sample_vdb());
         let back = RunReport::parse(&r.to_json_string()).unwrap();
         assert_eq!(back, r);
         let ns = &back.vdb.as_ref().unwrap().namespaces[0];
@@ -2169,5 +2287,44 @@ mod tests {
         assert_eq!(h.min, 1);
         assert_eq!(h.max, 100);
         assert!(h.p50 >= 45 && h.p50 <= 50);
+    }
+
+    #[test]
+    fn metric_registry_paths_are_unique_and_gates_sane() {
+        let mut r = sample_report();
+        r.faults = Some(FaultSection {
+            retransmits: 3,
+            ..Default::default()
+        });
+        r.serving = Some(sample_serving());
+        r.query_forensics = Some(sample_forensics());
+        r.rnn = Some(sample_rnn());
+        r.vdb = Some(sample_vdb());
+        r.critical_path = Some(CriticalPathSection::default());
+        let groups = r.metric_groups();
+        assert!(groups.iter().all(|g| g.metrics.is_some()));
+        let all: Vec<&Metric> = groups
+            .iter()
+            .flat_map(|g| g.metrics.iter().flatten())
+            .collect();
+        let mut paths: Vec<&str> = all.iter().map(|m| m.path.as_str()).collect();
+        paths.sort_unstable();
+        paths.dedup();
+        assert_eq!(paths.len(), all.len(), "duplicate metric path");
+        for m in &all {
+            if let MetricValue::Num(_, gate) = m.value {
+                assert!(
+                    gate.tolerance.is_finite() && gate.tolerance >= 0.0,
+                    "{}",
+                    m.path
+                );
+                let info = m.path == "wall_secs" || m.path.starts_with("extra.");
+                assert_eq!(gate.direction == Direction::Info, info, "{}", m.path);
+            }
+        }
+        let digests = all
+            .iter()
+            .filter(|m| matches!(m.value, MetricValue::Exact(_)));
+        assert_eq!(digests.count(), 1, "the forensics digest");
     }
 }
