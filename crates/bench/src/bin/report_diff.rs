@@ -41,8 +41,10 @@ impl MetricRow {
         let t = self.gate.tolerance;
         match (self.gate.direction, self.rel_delta()) {
             (Direction::Info, _) => false,
-            // 0 -> nonzero: infinite relative growth.
-            (_, None) => self.cand > self.base,
+            // From a zero baseline the relative change is infinite: only
+            // growth of a higher-is-worse metric regresses.
+            (Direction::HigherIsWorse, None) => self.cand > self.base,
+            (Direction::LowerIsWorse, None) => false,
             (Direction::HigherIsWorse, Some(d)) => d > t,
             (Direction::LowerIsWorse, Some(d)) => -d > t,
         }
@@ -325,6 +327,29 @@ mod tests {
         let r = row_named(&rows, "faults.retransmits");
         assert_eq!(r.rel_delta(), None);
         assert!(r.regressed());
+    }
+
+    #[test]
+    fn lower_is_worse_growth_from_zero_is_not_a_regression() {
+        let mut base = report(1.0, 1);
+        let mut cand = report(1.0, 1);
+        cand.recall = Some(0.95);
+        base.serving = Some(obs::ServingSection::default());
+        cand.serving = Some(obs::ServingSection {
+            offered: 90,
+            admitted: 90,
+            answered: 90,
+            ..Default::default()
+        });
+        let rows = diff_rows(&base, &cand, None);
+        for name in ["recall", "serving.answered"] {
+            let r = row_named(&rows, name);
+            assert_eq!(r.rel_delta(), None, "{name}");
+            assert!(!r.regressed(), "{name} grew from zero");
+            assert_eq!(status(r), "ok", "{name}");
+        }
+        // Higher-is-worse growth from zero still regresses.
+        assert!(row_named(&rows, "serving.offered").regressed());
     }
 
     #[test]
