@@ -128,19 +128,11 @@ fn status(r: &MetricRow) -> &'static str {
 }
 
 fn run() -> Result<bool, String> {
-    let positional: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|a| !a.starts_with("--"))
-        .take(2)
-        .collect();
     let args = Args::parse();
-    let [base_path, cand_path] = match positional.as_slice() {
-        [b, c] => [b.clone(), c.clone()],
-        _ => {
-            return Err("usage: dnnd-report-diff <baseline.json> <candidate.json> \
-                 [--threshold <rel>] [--out <dir>]"
-                .into())
-        }
+    let [base_path, cand_path, ..] = args.positional() else {
+        return Err("usage: dnnd-report-diff <baseline.json> <candidate.json> \
+             [--threshold <rel>] [--out <dir>]"
+            .into());
     };
     let thr: Option<f64> = args.opt("threshold");
     if let Some(t) = thr {
@@ -153,8 +145,8 @@ fn run() -> Result<bool, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         RunReport::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))
     };
-    let base = load(&base_path)?;
-    let cand = load(&cand_path)?;
+    let base = load(base_path)?;
+    let cand = load(cand_path)?;
 
     if base.n_ranks != cand.n_ranks {
         eprintln!(

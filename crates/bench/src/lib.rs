@@ -20,6 +20,7 @@ use std::path::{Path, PathBuf};
 pub struct Args {
     values: HashMap<String, String>,
     flags: Vec<String>,
+    positional: Vec<String>,
 }
 
 impl Args {
@@ -32,6 +33,7 @@ impl Args {
     pub fn from_tokens(tokens: impl IntoIterator<Item = String>) -> Self {
         let mut values = HashMap::new();
         let mut flags = Vec::new();
+        let mut positional = Vec::new();
         let toks: Vec<String> = tokens.into_iter().collect();
         let mut i = 0;
         while i < toks.len() {
@@ -45,10 +47,15 @@ impl Args {
                     i += 1;
                 }
             } else {
+                positional.push(t.clone());
                 i += 1;
             }
         }
-        Args { values, flags }
+        Args {
+            values,
+            flags,
+            positional,
+        }
     }
 
     /// Typed lookup with default.
@@ -62,6 +69,11 @@ impl Args {
     /// Typed lookup without a default: `None` when the key was not given.
     pub fn opt<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
         self.values.get(key).and_then(|v| v.parse().ok())
+    }
+
+    /// Tokens not consumed as a flag or a flag's value, in order.
+    pub fn positional(&self) -> &[String] {
+        &self.positional
     }
 
     /// Boolean flag presence.
@@ -191,6 +203,15 @@ mod tests {
     fn flag_at_end_without_value() {
         let a = args("--verbose");
         assert!(a.flag("verbose"));
+    }
+
+    #[test]
+    fn positional_tokens_skip_flag_values() {
+        let a = args("--threshold 0.1 --out deltas/ a.json b.json");
+        assert_eq!(a.positional(), ["a.json", "b.json"]);
+        assert_eq!(a.get("threshold", 0.0), 0.1);
+        let a = args("a.json --threshold 0.1 b.json --full");
+        assert_eq!(a.positional(), ["a.json", "b.json"]);
     }
 
     #[test]

@@ -85,6 +85,26 @@ fn self_diff_passes_and_storm_diff_fails_readably() {
 }
 
 #[test]
+fn flags_before_the_report_paths_are_not_taken_as_paths() {
+    let dir = TmpDir::new("report-diff-flags-first");
+    let report = dir.join("r.json");
+    write_run(&report, None);
+    let deltas = dir.join("deltas");
+    let out = Command::new(env!("CARGO_BIN_EXE_dnnd-report-diff"))
+        .args(["--threshold", "0.1", "--out", deltas.to_str().unwrap()])
+        .args([&report, &report])
+        .output()
+        .expect("spawn dnnd-report-diff");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stdout}{stderr}");
+    assert!(stdout.contains("PASS"), "{stdout}");
+    // --threshold applies to every gated metric.
+    assert!(stdout.contains(" 10% "), "{stdout}");
+    assert!(deltas.join("report_diff.csv").is_file());
+}
+
+#[test]
 fn usage_error_exits_two() {
     let out = Command::new(env!("CARGO_BIN_EXE_dnnd-report-diff"))
         .output()
