@@ -1,7 +1,8 @@
 //! `dnnd-report-diff` — the RunReport regression gate.
 //!
 //! Compares a candidate report against a baseline metric-by-metric with
-//! per-metric relative thresholds, prints an aligned delta table, and
+//! the per-metric relative thresholds each report section declares in
+//! `obs` (`RunReport::metric_groups`), prints an aligned delta table, and
 //! exits nonzero when any gated metric regressed:
 //!
 //! ```text
@@ -67,6 +68,7 @@ struct Diff {
 fn diff(base: &RunReport, cand: &RunReport, thr: Option<f64>) -> Diff {
     let mut d = Diff::default();
     for (bg, cg) in base.metric_groups().into_iter().zip(cand.metric_groups()) {
+        debug_assert_eq!(bg.name, cg.name, "every report yields the same groups");
         let (b, c) = (bg.metrics.as_deref(), cg.metrics.as_deref());
         let named = |m: &&str| bg.name.starts_with(&format!("{m}."));
         if bg.required && b.is_some() && c.is_none() && !d.missing.iter().any(named) {
@@ -90,11 +92,10 @@ fn diff(base: &RunReport, cand: &RunReport, thr: Option<f64>) -> Diff {
                     if gate.direction != Direction::Info {
                         gate.tolerance = thr.unwrap_or(gate.tolerance);
                     }
-                    let (name, base, cand) = (m.path.clone(), num(bv), num(cv));
                     d.rows.push(MetricRow {
-                        name,
-                        base,
-                        cand,
+                        name: m.path.clone(),
+                        base: num(bv),
+                        cand: num(cv),
                         gate,
                     });
                 }
@@ -170,10 +171,9 @@ fn run() -> Result<bool, String> {
     );
     for r in &out.rows {
         let (b, c, d) = (fmt_value(r.base), fmt_value(r.cand), fmt_delta(r));
-        let t = if r.gate.direction == Direction::Info {
-            "-".to_string()
-        } else {
-            format!("{:.0}%", r.gate.tolerance * 100.0)
+        let t = match r.gate.direction {
+            Direction::Info => "-".to_string(),
+            _ => format!("{:.0}%", r.gate.tolerance * 100.0),
         };
         table.row(&[&r.name, &b, &c, &d, &t, &status(r)]);
     }

@@ -1,8 +1,8 @@
-//! The metric registry: each report section declares once, beside its
-//! struct, which of its numbers gate a regression, in which direction and
-//! at what relative tolerance. [`crate::RunReport::metric_groups`] yields
-//! them as groups; `dnnd-report-diff` iterates the groups of two reports
-//! and knows no metric by name.
+//! The metric registry types. [`crate::RunReport::metric_groups`], beside
+//! the section structs, declares once which numbers of each report section
+//! gate a regression, in which direction and at what relative tolerance;
+//! `dnnd-report-diff` iterates the groups of two reports and knows no
+//! metric by name.
 
 /// Which way a metric's movement counts as a regression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,15 +24,14 @@ pub struct Gate {
 
 impl Gate {
     /// Any growth regresses: counters of a deterministic run.
-    pub const GROWTH: Gate = Gate::new(Direction::HigherIsWorse, 0.0);
+    pub(crate) const GROWTH: Gate = Gate::new(Direction::HigherIsWorse, 0.0);
     /// Any shrinkage regresses: served work and sampler coverage.
-    pub const SHRINK: Gate = Gate::new(Direction::LowerIsWorse, 0.0);
-    /// Virtual times and latency percentiles: 10% slack for cost-model
-    /// and search-cost tweaks.
-    pub const TIME: Gate = Gate::new(Direction::HigherIsWorse, 0.10);
-    pub const INFO: Gate = Gate::new(Direction::Info, 0.0);
+    pub(crate) const SHRINK: Gate = Gate::new(Direction::LowerIsWorse, 0.0);
+    /// Virtual times and latency percentiles: 10% slack for cost tweaks.
+    pub(crate) const TIME: Gate = Gate::new(Direction::HigherIsWorse, 0.10);
+    pub(crate) const INFO: Gate = Gate::new(Direction::Info, 0.0);
 
-    pub const fn new(direction: Direction, tolerance: f64) -> Gate {
+    pub(crate) const fn new(direction: Direction, tolerance: f64) -> Gate {
         Gate {
             direction,
             tolerance,
@@ -60,7 +59,7 @@ pub struct Metric {
 
 /// `prefix.key` metrics from `(key, value, gate)` triples; an empty prefix
 /// is the top level.
-pub fn metrics(prefix: &str, items: &[(&str, f64, Gate)]) -> Vec<Metric> {
+pub(crate) fn metrics(prefix: &str, items: &[(&str, f64, Gate)]) -> Vec<Metric> {
     let dot = if prefix.is_empty() { "" } else { "." };
     let metric = |&(key, v, gate): &(&str, f64, Gate)| Metric {
         path: format!("{prefix}{dot}{key}"),
@@ -87,8 +86,7 @@ pub(crate) use gated;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Presence {
     /// Compared when either report carries it; the side lacking it reads
-    /// as zeros, so new activity in the candidate gates as growth from
-    /// zero.
+    /// as zeros, so new activity in the candidate gates as growth.
     Either,
     /// Compared only when the baseline carries it: a candidate-only group
     /// or metric is schema growth, not a regression. A candidate lacking a
