@@ -39,7 +39,6 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 use ygm::{ClockBreakdown, Comm, PhaseRecord, TagStats, TrafficMatrix, World};
@@ -121,14 +120,54 @@ pub struct DnndOutput {
     pub report: BuildReport,
 }
 
+/// Dense numbering of one rank's owned vertices: `owned[i]` has local
+/// offset `i`. The partition is a pure function of the id, so the table is
+/// built once from `owned` and every per-vertex array below is a `Vec`
+/// indexed by offset instead of a map keyed by id.
+struct LocalIndex {
+    /// Offset by global id; [`LocalIndex::NOT_OWNED`] for other ranks' ids.
+    offset: Vec<u32>,
+}
+
+impl LocalIndex {
+    const NOT_OWNED: u32 = u32::MAX;
+
+    fn new(owned: &[PointId], n: usize) -> Self {
+        let mut offset = vec![Self::NOT_OWNED; n];
+        for (i, &v) in owned.iter().enumerate() {
+            offset[v as usize] = i as u32;
+        }
+        LocalIndex { offset }
+    }
+
+    /// The local offset of `v`, if this rank owns it.
+    #[inline]
+    fn get(&self, v: PointId) -> Option<usize> {
+        match self.offset.get(v as usize) {
+            Some(&o) if o != Self::NOT_OWNED => Some(o as usize),
+            _ => None,
+        }
+    }
+
+    /// The local offset of `v`, which this rank must own.
+    #[inline]
+    fn at(&self, v: PointId) -> usize {
+        self.get(v)
+            .unwrap_or_else(|| panic!("vertex {v} is not owned by this rank"))
+    }
+}
+
 /// Per-rank mutable state shared between the SPMD main loop and the
 /// message handlers (single-threaded within a rank, hence `Rc<RefCell>`).
+/// Every per-vertex `Vec` is indexed by [`LocalIndex`] offset.
 struct State {
-    heaps: HashMap<PointId, NeighborHeap>,
-    rev_new: HashMap<PointId, Vec<PointId>>,
-    rev_old: HashMap<PointId, Vec<PointId>>,
+    index: LocalIndex,
+    heaps: Vec<NeighborHeap>,
+    /// Reverse neighbors received this iteration, sampled-new and old.
+    rev_new: Vec<Vec<PointId>>,
+    rev_old: Vec<Vec<PointId>>,
     /// Reverse edges received during the graph-optimization phase.
-    opt_extra: HashMap<PointId, Vec<Edge>>,
+    opt_extra: Vec<Vec<Edge>>,
     /// Heap-insert attempts this iteration (denominator of the accept
     /// rate histogram).
     attempts: u64,
@@ -138,29 +177,45 @@ struct State {
     /// distance evaluations); `dist_evals / kernel_batches` is the mean
     /// batch width the telemetry gauge reports.
     kernel_batches: u64,
-    /// Distance evaluations attributed per owned vertex; populated only
+    /// Distance evaluations attributed per owned vertex; counted only
     /// when the world has a tracer attached.
-    dist_by_vertex: HashMap<PointId, u64>,
+    dist_by_vertex: Vec<u64>,
 }
 
 impl State {
-    fn new(owned: &[PointId], k: usize) -> Self {
+    fn new(owned: &[PointId], n: usize, k: usize) -> Self {
+        let m = owned.len();
         State {
-            heaps: owned.iter().map(|&v| (v, NeighborHeap::new(k))).collect(),
-            rev_new: HashMap::new(),
-            rev_old: HashMap::new(),
-            opt_extra: HashMap::new(),
+            index: LocalIndex::new(owned, n),
+            heaps: (0..m).map(|_| NeighborHeap::new(k)).collect(),
+            rev_new: vec![Vec::new(); m],
+            rev_old: vec![Vec::new(); m],
+            opt_extra: vec![Vec::new(); m],
             attempts: 0,
             dist_evals: 0,
             kernel_batches: 0,
-            dist_by_vertex: HashMap::new(),
+            dist_by_vertex: vec![0; m],
         }
+    }
+
+    /// The heap of `v`, if this rank owns it.
+    #[inline]
+    fn heap_mut(&mut self, v: PointId) -> Option<&mut NeighborHeap> {
+        self.index.get(v).map(|i| &mut self.heaps[i])
+    }
+
+    /// The heap of `v`, which this rank must own.
+    #[inline]
+    fn heap(&self, v: PointId) -> &NeighborHeap {
+        &self.heaps[self.index.at(v)]
     }
 
     /// Count one distance evaluation for `v`'s benefit (tracing only).
     fn trace_dist(&mut self, traced: bool, v: PointId) {
         if traced {
-            *self.dist_by_vertex.entry(v).or_default() += 1;
+            if let Some(i) = self.index.get(v) {
+                self.dist_by_vertex[i] += 1;
+            }
         }
     }
 
@@ -281,7 +336,7 @@ where
     let n = set.len();
     let dim = set.dim().max(1);
     let owned = part.owned_ids(n, comm.rank());
-    let st = Rc::new(RefCell::new(State::new(&owned, cfg.k)));
+    let st = Rc::new(RefCell::new(State::new(&owned, n, cfg.k)));
     // Per-set norm cache (Section "cached-norm preprocessing"): each rank
     // computes the squared norms once up front so every dot-form distance
     // afterwards skips both norm recomputations. A real deployment would
@@ -324,7 +379,7 @@ where
             for (&u, &d) in local.iter().zip(&dbuf) {
                 s.trace_dist(traced, v);
                 s.attempts += 1;
-                if let Some(h) = s.heaps.get_mut(&v) {
+                if let Some(h) = s.heap_mut(v) {
                     h.checked_insert(u, d, true);
                 }
             }
@@ -358,17 +413,18 @@ where
         // set difference is a pure function of the delivered message
         // multiset — message-arrival order cannot flip the termination
         // decision.
-        let start_ids: HashMap<PointId, Vec<PointId>> = {
+        // All per-vertex lists below are indexed by local offset.
+        let start_ids: Vec<Vec<PointId>> = {
             let mut s = st.borrow_mut();
             s.attempts = 0;
-            s.rev_new.clear();
-            s.rev_old.clear();
-            owned
+            s.rev_new.iter_mut().for_each(Vec::clear);
+            s.rev_old.iter_mut().for_each(Vec::clear);
+            s.heaps
                 .iter()
-                .map(|&v| {
-                    let mut ids: Vec<PointId> = s.heaps[&v].iter().map(|n| n.id).collect();
+                .map(|heap| {
+                    let mut ids: Vec<PointId> = heap.iter().map(|n| n.id).collect();
                     ids.sort_unstable();
-                    (v, ids)
+                    ids
                 })
                 .collect()
         };
@@ -376,15 +432,14 @@ where
         // 2a. Local sampling: split each owned vertex's heap into old ids
         // and a rho*K sample of new ids (flipped to old).
         comm.trace_begin("sample");
-        let mut fwd_old: HashMap<PointId, Vec<PointId>> = HashMap::with_capacity(owned.len());
-        let mut fwd_new: HashMap<PointId, Vec<PointId>> = HashMap::with_capacity(owned.len());
+        let mut fwd_old: Vec<Vec<PointId>> = Vec::with_capacity(owned.len());
+        let mut fwd_new: Vec<Vec<PointId>> = Vec::with_capacity(owned.len());
         {
             let mut s = st.borrow_mut();
-            for &v in &owned {
+            for (&v, heap) in owned.iter().zip(s.heaps.iter_mut()) {
                 let mut rng = ChaCha8Rng::seed_from_u64(
                     cfg.seed ^ 0xA11CE ^ (u64::from(v) << 18) ^ (iter as u64),
                 );
-                let heap = s.heaps.get_mut(&v).expect("owned vertex heap");
                 // The heap's array layout depends on the order updates
                 // arrived, which is scheduling-dependent; sort both id
                 // lists so the sample below is deterministic in seed.
@@ -397,8 +452,8 @@ where
                 for &u in &candidates {
                     heap.mark_old(u);
                 }
-                fwd_old.insert(v, old);
-                fwd_new.insert(v, candidates);
+                fwd_old.push(old);
+                fwd_new.push(candidates);
             }
         }
 
@@ -407,7 +462,8 @@ where
         // 2b. Reverse-neighbor exchange (Section 4.2): ship (u, v) to
         // owner(u). Destination order is shuffled to spread load.
         comm.trace_begin("reverse_exchange");
-        let mut order = owned.clone();
+        // Shuffling offsets permutes exactly as shuffling the ids would.
+        let mut order: Vec<usize> = (0..owned.len()).collect();
         if cfg.shuffle_reverse {
             let mut rng = ChaCha8Rng::seed_from_u64(
                 cfg.seed ^ 0x5F0F ^ (iter as u64) ^ ((comm.rank() as u64) << 32),
@@ -415,11 +471,11 @@ where
             order.shuffle(&mut rng);
         }
         batched(comm, order.len(), quota, |i| {
-            let v = order[i];
-            for &u in &fwd_new[&v] {
+            let (o, v) = (order[i], owned[order[i]]);
+            for &u in &fwd_new[o] {
                 comm.async_send(part.owner(u), TAG_REV_NEW, &(u, v));
             }
-            for &u in &fwd_old[&v] {
+            for &u in &fwd_old[o] {
                 comm.async_send(part.owner(u), TAG_REV_OLD, &(u, v));
             }
         });
@@ -430,31 +486,25 @@ where
         // forward lists (Algorithm 1 lines 15-16).
         comm.trace_begin("union_sample");
         {
-            let mut s = st.borrow_mut();
-            for &v in &owned {
+            let s = &mut *st.borrow_mut();
+            for (o, &v) in owned.iter().enumerate() {
                 let mut rng = ChaCha8Rng::seed_from_u64(
                     cfg.seed ^ 0xBEE ^ (u64::from(v) << 18) ^ (iter as u64),
                 );
-                let mut union_sample = |fwd: &mut Vec<PointId>, mut rev: Vec<PointId>| {
+                let mut union_sample = |fwd: &mut Vec<PointId>, rev: &mut Vec<PointId>| {
                     // The reverse lists arrive in scheduling-dependent order;
                     // canonicalize so the sample is deterministic in seed.
                     rev.sort_unstable();
                     rev.shuffle(&mut rng);
                     rev.truncate(max_sample);
-                    for u in rev {
+                    for &u in rev.iter() {
                         if u != v && !fwd.contains(&u) {
                             fwd.push(u);
                         }
                     }
                 };
-                union_sample(
-                    fwd_new.get_mut(&v).unwrap(),
-                    s.rev_new.remove(&v).unwrap_or_default(),
-                );
-                union_sample(
-                    fwd_old.get_mut(&v).unwrap(),
-                    s.rev_old.remove(&v).unwrap_or_default(),
-                );
+                union_sample(&mut fwd_new[o], &mut s.rev_new[o]);
+                union_sample(&mut fwd_old[o], &mut s.rev_old[o]);
             }
         }
 
@@ -468,9 +518,7 @@ where
         comm.trace_begin("gen_pairs");
         let mut joins: Vec<Type1> = Vec::new();
         let mut n_pairs: u64 = 0;
-        for &v in &owned {
-            let news = &fwd_new[&v];
-            let olds = &fwd_old[&v];
+        for (news, olds) in fwd_new.iter().zip(&fwd_old) {
             let fwd_start = joins.len();
             for (i, &u1) in news.iter().enumerate() {
                 let tails: Vec<PointId> = news[i + 1..]
@@ -516,12 +564,12 @@ where
         // 2f. Convergence test on the all-reduced update count.
         let (c_local, attempts) = {
             let s = st.borrow();
-            let c: u64 = owned
+            let c: u64 = s
+                .heaps
                 .iter()
-                .map(|&v| {
-                    let start = &start_ids[&v];
-                    s.heaps[&v]
-                        .iter()
+                .zip(&start_ids)
+                .map(|(heap, start)| {
+                    heap.iter()
                         .filter(|n| start.binary_search(&n.id).is_err())
                         .count() as u64
                 })
@@ -564,12 +612,9 @@ where
         {
             let s = st.borrow();
             rnn_st.borrow_mut().seed(
-                owned.iter().map(|&v| {
-                    let edges: Vec<Edge> = s.heaps[&v]
-                        .sorted()
-                        .iter()
-                        .map(|nb| (nb.id, nb.dist))
-                        .collect();
+                owned.iter().zip(&s.heaps).map(|(&v, heap)| {
+                    let edges: Vec<Edge> =
+                        heap.sorted().iter().map(|nb| (nb.id, nb.dist)).collect();
                     (v, edges)
                 }),
                 rp.r,
@@ -588,12 +633,9 @@ where
         let s = st.borrow();
         owned
             .iter()
-            .map(|&v| {
-                let edges = s.heaps[&v]
-                    .sorted()
-                    .iter()
-                    .map(|nb| (nb.id, nb.dist))
-                    .collect();
+            .zip(&s.heaps)
+            .map(|(&v, heap)| {
+                let edges = heap.sorted().iter().map(|nb| (nb.id, nb.dist)).collect();
                 (v, edges)
             })
             .collect()
@@ -601,11 +643,8 @@ where
 
     let s = st.borrow();
     if traced {
-        for &v in &owned {
-            comm.trace_hist(
-                "dist_evals_per_item",
-                s.dist_by_vertex.get(&v).copied().unwrap_or(0),
-            );
+        for &evals in &s.dist_by_vertex {
+            comm.trace_hist("dist_evals_per_item", evals);
         }
     }
     let dist_evals = s.dist_evals + rnn_st.borrow().dist_evals;
@@ -634,7 +673,7 @@ fn optimize_distributed(
     assert!(m >= 1.0, "paper requires m >= 1");
     batched(comm, owned.len(), quota, |i| {
         let v = owned[i];
-        let edges: Vec<Edge> = st.borrow().heaps[&v]
+        let edges: Vec<Edge> = st.borrow().heaps[i]
             .sorted()
             .iter()
             .map(|nb| (nb.id, nb.dist))
@@ -644,18 +683,13 @@ fn optimize_distributed(
         }
     });
     let limit = ((cfg.k as f64) * m).ceil() as usize;
-    let mut s = st.borrow_mut();
+    let s = &mut *st.borrow_mut();
     owned
         .iter()
-        .map(|&v| {
-            let mut edges: Vec<Edge> = s.heaps[&v]
-                .sorted()
-                .iter()
-                .map(|nb| (nb.id, nb.dist))
-                .collect();
-            if let Some(extra) = s.opt_extra.remove(&v) {
-                edges.extend(extra);
-            }
+        .zip(s.heaps.iter().zip(s.opt_extra.iter_mut()))
+        .map(|(&v, (heap, extra))| {
+            let mut edges: Vec<Edge> = heap.sorted().iter().map(|nb| (nb.id, nb.dist)).collect();
+            edges.append(extra);
             edges.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
             edges.dedup_by_key(|e| e.0);
             edges.truncate(limit);
@@ -766,7 +800,7 @@ fn register_handlers<P, M>(
                 let mut s = st.borrow_mut();
                 for (u, d) in pairs {
                     s.attempts += 1;
-                    if let Some(h) = s.heaps.get_mut(&v) {
+                    if let Some(h) = s.heap_mut(v) {
                         h.checked_insert(u, d, true);
                     }
                 }
@@ -781,7 +815,10 @@ fn register_handlers<P, M>(
             TAG_REV_NEW,
             tag_display(TAG_REV_NEW),
             move |_, (u, v)| {
-                st.borrow_mut().rev_new.entry(u).or_default().push(v);
+                let s = &mut *st.borrow_mut();
+                if let Some(o) = s.index.get(u) {
+                    s.rev_new[o].push(v);
+                }
             },
         );
     }
@@ -791,7 +828,10 @@ fn register_handlers<P, M>(
             TAG_REV_OLD,
             tag_display(TAG_REV_OLD),
             move |_, (u, v)| {
-                st.borrow_mut().rev_old.entry(u).or_default().push(v);
+                let s = &mut *st.borrow_mut();
+                if let Some(o) = s.index.get(u) {
+                    s.rev_old[o].push(v);
+                }
             },
         );
     }
@@ -806,7 +846,7 @@ fn register_handlers<P, M>(
         comm.register_named::<Type1, _>(TAG_TYPE1, tag_display(TAG_TYPE1), move |c, (u1, u2s)| {
             let (tails, bound) = {
                 let s = st.borrow();
-                let heap = &s.heaps[&u1];
+                let heap = s.heap(u1);
                 let tails: Vec<PointId> = if cfg.opts.skip_redundant {
                     // Redundant-check reduction (4.3.2) on the forward path.
                     u2s.into_iter().filter(|&u2| !heap.contains(u2)).collect()
@@ -870,7 +910,7 @@ fn register_handlers<P, M>(
             for (&u2, &d) in msg.u2s.iter().zip(&dbuf) {
                 s.trace_dist(traced, u2);
                 s.attempts += 1;
-                if let Some(h) = s.heaps.get_mut(&u2) {
+                if let Some(h) = s.heap_mut(u2) {
                     h.checked_insert(msg.u1, d, true);
                 }
             }
@@ -895,7 +935,7 @@ fn register_handlers<P, M>(
                     msg.u2s
                         .iter()
                         .copied()
-                        .filter(|&u2| !s.heaps[&u2].contains(msg.u1))
+                        .filter(|&u2| !s.heap(u2).contains(msg.u1))
                         .collect()
                 } else {
                     msg.u2s.clone()
@@ -914,7 +954,7 @@ fn register_handlers<P, M>(
                     for (&u2, &d) in u2s.iter().zip(&dbuf) {
                         s.trace_dist(traced, u2);
                         s.attempts += 1;
-                        if let Some(h) = s.heaps.get_mut(&u2) {
+                        if let Some(h) = s.heap_mut(u2) {
                             h.checked_insert(msg.u1, d, true);
                         }
                         // Long-distance pruning (4.3.3): only answer if the
@@ -941,7 +981,7 @@ fn register_handlers<P, M>(
                 let mut s = st.borrow_mut();
                 for (u2, d) in pairs {
                     s.attempts += 1;
-                    if let Some(h) = s.heaps.get_mut(&u1) {
+                    if let Some(h) = s.heap_mut(u1) {
                         h.checked_insert(u2, d, true);
                     }
                 }
@@ -956,7 +996,10 @@ fn register_handlers<P, M>(
             TAG_OPT_EDGE,
             tag_display(TAG_OPT_EDGE),
             move |_, (u, v, d)| {
-                st.borrow_mut().opt_extra.entry(u).or_default().push((v, d));
+                let s = &mut *st.borrow_mut();
+                if let Some(o) = s.index.get(u) {
+                    s.opt_extra[o].push((v, d));
+                }
             },
         );
     }

@@ -6,7 +6,7 @@
 //! codec in `ygm::codec` relies on. Only the API surface this workspace
 //! uses is implemented.
 
-use std::ops::Deref;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// Read-side cursor over a contiguous byte region.
@@ -77,6 +77,13 @@ pub trait Buf {
 pub trait BufMut {
     /// Append raw bytes.
     fn put_slice(&mut self, src: &[u8]);
+
+    /// Append `cnt` copies of the byte `val`.
+    fn put_bytes(&mut self, val: u8, cnt: usize) {
+        for _ in 0..cnt {
+            self.put_u8(val);
+        }
+    }
 
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
@@ -293,6 +300,12 @@ impl Deref for BytesMut {
     }
 }
 
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.inner
+    }
+}
+
 impl AsRef<[u8]> for BytesMut {
     fn as_ref(&self) -> &[u8] {
         &self.inner
@@ -309,11 +322,19 @@ impl BufMut for BytesMut {
     fn put_slice(&mut self, src: &[u8]) {
         self.inner.extend_from_slice(src);
     }
+
+    fn put_bytes(&mut self, val: u8, cnt: usize) {
+        self.inner.resize(self.inner.len() + cnt, val);
+    }
 }
 
 impl BufMut for Vec<u8> {
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
+    }
+
+    fn put_bytes(&mut self, val: u8, cnt: usize) {
+        self.resize(self.len() + cnt, val);
     }
 }
 
@@ -344,6 +365,19 @@ mod tests {
         assert_eq!(b.as_slice(), &[3, 4, 5]);
         let clone = b.clone();
         assert_eq!(clone.as_slice(), b.as_slice());
+    }
+
+    #[test]
+    fn put_bytes_then_write_in_place() {
+        let mut w = BytesMut::new();
+        w.put_u8(9);
+        w.put_bytes(0, 4);
+        assert_eq!(w.as_slice(), &[9, 0, 0, 0, 0]);
+        w[1..].copy_from_slice(&7u32.to_le_bytes());
+        assert_eq!(w.as_slice(), &[9, 7, 0, 0, 0]);
+        let mut v: Vec<u8> = Vec::new();
+        v.put_bytes(0xAB, 2);
+        assert_eq!(v, vec![0xAB, 0xAB]);
     }
 
     #[test]

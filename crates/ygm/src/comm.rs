@@ -16,6 +16,14 @@
 //!   draining — has been processed (termination detection via global
 //!   sent/processed counters).
 //!
+//! Sends and dispatches are counted rank-locally (a `SendLog` and a plain
+//! `processed` count). Each rank folds them into the world's
+//! [`crate::Stats`] and the `sent`/`processed` termination counters at
+//! barrier entry, after its last poll of the round and before the first
+//! wait, so the counters are exact at every quiescence check and every
+//! phase record, and the send path touches no cache line another rank
+//! writes.
+//!
 //! The execution model is SPMD: every rank must execute the same sequence of
 //! collective operations (`barrier`, `all_reduce_*`, `broadcast_*`).
 //! Handlers must not call `poll`, `barrier`, or `register` (enforced by a
@@ -24,7 +32,7 @@
 use crate::codec::{TraceCtx, Wire};
 use crate::cost::CostModel;
 use crate::fault::FaultCounters;
-use crate::stats::Stats;
+use crate::stats::SendLog;
 use crate::world::Shared;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crossbeam::channel::Receiver;
@@ -150,6 +158,10 @@ pub struct Comm {
     /// Bitset of tags buffered per destination since its last flush, so
     /// one flow arrow is drawn per (frame, tag) rather than per message.
     pending_tags: RefCell<Vec<u64>>,
+    /// Application sends since the last fold into the world's counters.
+    sends: RefCell<SendLog>,
+    /// Messages dispatched to handlers since the last fold.
+    processed: Cell<u64>,
 }
 
 impl Comm {
@@ -169,6 +181,8 @@ impl Comm {
             phase_idx: Cell::new(0),
             flow_seq: RefCell::new(vec![0; n]),
             pending_tags: RefCell::new(vec![0; n]),
+            sends: RefCell::new(SendLog::new(n)),
+            processed: Cell::new(0),
         }
     }
 
@@ -396,6 +410,9 @@ impl Comm {
     pub fn async_send<M: Wire>(&self, dest: usize, tag: u16, msg: &M) {
         debug_assert!(dest < self.n_ranks(), "destination rank out of range");
         let sz = msg.wire_size();
+        self.sends
+            .borrow_mut()
+            .record(tag, FRAME_HEADER_BYTES + sz, dest);
         let mut flush_now = {
             let mut out = self.out.borrow_mut();
             let buf = &mut out[dest];
@@ -408,10 +425,6 @@ impl Comm {
             buf.len() >= self.shared.flush_threshold
         };
         self.pending_tags.borrow_mut()[dest] |= 1u64 << (tag as u32 & 63);
-        self.shared
-            .stats
-            .record_send(tag, FRAME_HEADER_BYTES + sz, self.rank, dest);
-        self.shared.sent.fetch_add(1, Ordering::SeqCst);
         if let (Some(fs), Some(fl)) = (&self.shared.fault, &self.fault) {
             // Flush jitter: randomly force an early flush, perturbing frame
             // boundaries and therefore handler-batch interleavings.
@@ -421,7 +434,11 @@ impl Comm {
                 fl.send_count[dest] += 1;
                 nth
             };
-            if !flush_now && fs.plan.jitter_flush(self.rank, dest, nth) {
+            // Counted whenever the decision fires, even if the threshold
+            // flushes this send anyway: whether the buffer is full here
+            // depends on when the last poll flushed it, so counting only
+            // the early flushes made the count schedule-dependent.
+            if fs.plan.jitter_flush(self.rank, dest, nth) {
                 FaultCounters::bump(&fs.counters.jittered_flushes);
                 flush_now = true;
             }
@@ -719,9 +736,9 @@ impl Comm {
                 // `handlers` and panic, which is the documented contract.
                 slot(self, payload);
             }
-            self.shared.processed.fetch_add(1, Ordering::SeqCst);
             n += 1;
         }
+        self.processed.set(self.processed.get() + n as u64);
         if traced {
             if let (Some(t), Some(ctx)) = (self.tracer(), ctx) {
                 if t.flows_enabled() {
@@ -776,6 +793,7 @@ impl Comm {
         let mut rounds: u64 = 0;
         loop {
             self.poll();
+            self.fold_counters();
             self.shared.barrier.wait();
             // Between the two waits no rank sends or processes, so the
             // counters are stable and every rank reads the same values.
@@ -816,6 +834,25 @@ impl Comm {
         }
     }
 
+    /// Publish this rank's sends and dispatches since the last fold into
+    /// the world's [`crate::Stats`] and termination counters. Runs at
+    /// barrier entry, after the round's poll and before its first wait, so
+    /// every rank's deltas are in before the quiescence check and before
+    /// the leader closes the phase.
+    fn fold_counters(&self) {
+        let sent = self
+            .shared
+            .stats
+            .fold(self.rank, &mut self.sends.borrow_mut());
+        if sent > 0 {
+            self.shared.sent.fetch_add(sent, Ordering::SeqCst);
+        }
+        let processed = self.processed.replace(0);
+        if processed > 0 {
+            self.shared.processed.fetch_add(processed, Ordering::SeqCst);
+        }
+    }
+
     /// Charge `ns` nanoseconds of virtual compute time to this rank's
     /// current phase.
     #[inline]
@@ -838,11 +875,6 @@ impl Comm {
     /// Current virtual time in nanoseconds.
     pub fn now_ns(&self) -> u64 {
         self.shared.clock.now_ns()
-    }
-
-    /// World-wide communication statistics.
-    pub fn stats(&self) -> &Stats {
-        &self.shared.stats
     }
 
     /// Running count of reliable-delivery retransmits world-wide; always 0

@@ -357,7 +357,7 @@ mod tests {
     fn phase_cost_includes_comm_terms() {
         let clock = VirtualClock::new();
         let stats = Stats::new(2);
-        stats.record_send(0, 1_000_000, 0, 1); // 1 MB remote
+        stats.fold_one(0, 1_000_000, 0, 1); // 1 MB remote
         let cost = CostModel {
             alpha_ns: 100.0,
             bytes_per_ns: 1.0,
@@ -381,7 +381,7 @@ mod tests {
         let clock = VirtualClock::new();
         let stats = Stats::new(2);
         let cost = CostModel::mammoth_like();
-        stats.record_send(0, 500, 0, 1);
+        stats.fold_one(0, 500, 0, 1);
         clock.advance_phase(&stats, &cost, 2);
         stats.reset_phase();
         clock.advance_phase(&stats, &cost, 2);
@@ -400,7 +400,7 @@ mod tests {
         let clock = VirtualClock::new();
         let stats = Stats::new(2);
         stats.charge_compute(0, 10_000);
-        stats.record_send(0, 1_000, 0, 1);
+        stats.fold_one(0, 1_000, 0, 1);
         stats.record_transport(0, 1, 1_000); // retransmit of the same frame
         stats.charge_fault(1, 777);
         let cost = CostModel {
@@ -435,7 +435,7 @@ mod tests {
         let clock = VirtualClock::new();
         let stats = Stats::new(2);
         stats.charge_compute(0, 10_000);
-        stats.record_send(0, 1_000, 0, 1);
+        stats.fold_one(0, 1_000, 0, 1);
         let cost = CostModel {
             alpha_ns: 100.0,
             bytes_per_ns: 1.0,
@@ -463,7 +463,7 @@ mod tests {
     fn free_network_charges_nothing_for_messages() {
         let clock = VirtualClock::new();
         let stats = Stats::new(2);
-        stats.record_send(0, 1 << 20, 0, 1);
+        stats.fold_one(0, 1 << 20, 0, 1);
         clock.advance_phase(&stats, &CostModel::free_network(), 2);
         assert_eq!(clock.now_ns(), 0);
     }

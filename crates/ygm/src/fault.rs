@@ -249,7 +249,8 @@ pub struct FaultCounters {
     pub delayed: AtomicU64,
     /// Rank-rounds skipped by stall injection.
     pub stalls: AtomicU64,
-    /// Early flushes forced by jitter.
+    /// Sends whose flush-jitter decision fired (forcing a flush unless the
+    /// threshold already did) — a pure function of per-edge send counts.
     pub jittered_flushes: AtomicU64,
     /// Frames retransmitted by the reliable-delivery layer.
     pub retransmits: AtomicU64,

@@ -15,6 +15,13 @@
 //! counted in the per-tag totals (they are real work for the handler) but do
 //! not contribute network cost, mirroring shared-memory delivery inside one
 //! node.
+//!
+//! A send touches no shared memory: it bumps its rank's private
+//! `SendLog`, and the rank folds the log into [`Stats`] at barrier entry
+//! (`Stats::fold`). Between barriers the shared per-tag, matrix and
+//! phase-traffic counters therefore lag the truth; at every barrier (and
+//! so in every [`crate::PhaseRecord`] and [`crate::WorldReport`]) they are
+//! exact.
 
 use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
@@ -97,8 +104,56 @@ impl PhaseCounters {
     }
 }
 
-/// Shared statistics block for a world. All methods are thread-safe; hot-path
-/// updates are relaxed atomics.
+/// Panic unless `tag` indexes the world's tag table.
+#[inline]
+pub(crate) fn check_tag(tag: u16) {
+    assert!(
+        (tag as usize) < MAX_TAGS,
+        "message tag {tag} out of range (MAX_TAGS = {MAX_TAGS})"
+    );
+}
+
+/// One rank's application sends since its last fold: messages and bytes
+/// (frame header included) per `(tag, destination)`. Plain integers owned
+/// by the sending rank, so [`crate::Comm::async_send`] costs no atomic and
+/// no shared cache line; [`Stats::fold`] moves them into the world's
+/// counters at barrier entry.
+pub(crate) struct SendLog {
+    n_ranks: usize,
+    /// `tag * n_ranks + dest`.
+    count: Box<[u64]>,
+    bytes: Box<[u64]>,
+    /// One past the highest tag logged since the last fold.
+    high_water: usize,
+}
+
+impl SendLog {
+    pub(crate) fn new(n_ranks: usize) -> Self {
+        SendLog {
+            n_ranks,
+            count: vec![0; MAX_TAGS * n_ranks].into_boxed_slice(),
+            bytes: vec![0; MAX_TAGS * n_ranks].into_boxed_slice(),
+            high_water: 0,
+        }
+    }
+
+    /// Log one sent message. `bytes` includes the frame header. Panics on
+    /// an out-of-range tag, at the send that used it.
+    #[inline]
+    pub(crate) fn record(&mut self, tag: u16, bytes: usize, dest: usize) {
+        check_tag(tag);
+        let t = tag as usize;
+        let cell = t * self.n_ranks + dest;
+        self.count[cell] += 1;
+        self.bytes[cell] += bytes as u64;
+        self.high_water = self.high_water.max(t + 1);
+    }
+}
+
+/// Shared statistics block for a world. Sends reach it only through
+/// `Stats::fold`, once per rank per barrier round, so its counters are
+/// exact at barriers and stale in between; phase compute charges and
+/// transport-level traffic are still added as they happen.
 pub struct Stats {
     n_ranks: usize,
     tag_count: Box<[CachePadded<AtomicU64>]>,
@@ -145,13 +200,9 @@ impl Stats {
     }
 
     /// Record that `tag` is in play, bumping the high-water mark. Called at
-    /// handler registration, tag naming, and on every send.
-    #[inline]
+    /// handler registration and tag naming; sends raise it at their fold.
     pub(crate) fn mark_tag_used(&self, tag: u16) {
-        assert!(
-            (tag as usize) < MAX_TAGS,
-            "message tag {tag} out of range (MAX_TAGS = {MAX_TAGS})"
-        );
+        check_tag(tag);
         self.tag_high_water
             .fetch_max(tag as u64 + 1, Ordering::Relaxed);
     }
@@ -161,26 +212,62 @@ impl Stats {
         self.tag_high_water.load(Ordering::Relaxed) as usize
     }
 
-    /// Record one sent message. `bytes` includes the frame header.
-    #[inline]
-    pub(crate) fn record_send(&self, tag: u16, bytes: usize, src: usize, dest: usize) {
-        self.mark_tag_used(tag);
-        let t = tag as usize;
-        self.tag_count[t].fetch_add(1, Ordering::Relaxed);
-        self.tag_bytes[t].fetch_add(bytes as u64, Ordering::Relaxed);
-        let cell = (t * self.n_ranks + src) * self.n_ranks + dest;
-        self.matrix_count[cell].fetch_add(1, Ordering::Relaxed);
-        self.matrix_bytes[cell].fetch_add(bytes as u64, Ordering::Relaxed);
-        if src != dest {
-            self.tag_remote_count[t].fetch_add(1, Ordering::Relaxed);
-            self.tag_remote_bytes[t].fetch_add(bytes as u64, Ordering::Relaxed);
-            let ps = &self.phase[src];
-            ps.msgs_out.fetch_add(1, Ordering::Relaxed);
-            ps.bytes_out.fetch_add(bytes as u64, Ordering::Relaxed);
-            let pd = &self.phase[dest];
-            pd.msgs_in.fetch_add(1, Ordering::Relaxed);
-            pd.bytes_in.fetch_add(bytes as u64, Ordering::Relaxed);
+    /// Move rank `src`'s logged sends into the per-tag totals, the traffic
+    /// matrix and the current phase's traffic counters, leaving `log`
+    /// empty. Returns the number of messages folded.
+    ///
+    /// Called by each rank at barrier entry, after its last poll of the
+    /// round and before the barrier's first wait. The adds are `Relaxed`:
+    /// the wait orders them before every read — the quiescence check, the
+    /// leader's [`crate::VirtualClock::advance_phase`] and the final
+    /// report.
+    pub(crate) fn fold(&self, src: usize, log: &mut SendLog) -> u64 {
+        let n = self.n_ranks;
+        let mut folded = 0;
+        let (mut out_msgs, mut out_bytes) = (0, 0);
+        for t in 0..log.high_water {
+            let (mut count, mut bytes, mut remote_count, mut remote_bytes) = (0, 0, 0, 0);
+            for dest in 0..n {
+                let cell = t * n + dest;
+                let (c, b) = (log.count[cell], log.bytes[cell]);
+                if c == 0 {
+                    continue;
+                }
+                log.count[cell] = 0;
+                log.bytes[cell] = 0;
+                count += c;
+                bytes += b;
+                let m = (t * n + src) * n + dest;
+                self.matrix_count[m].fetch_add(c, Ordering::Relaxed);
+                self.matrix_bytes[m].fetch_add(b, Ordering::Relaxed);
+                if dest != src {
+                    remote_count += c;
+                    remote_bytes += b;
+                    let pd = &self.phase[dest];
+                    pd.msgs_in.fetch_add(c, Ordering::Relaxed);
+                    pd.bytes_in.fetch_add(b, Ordering::Relaxed);
+                }
+            }
+            if count == 0 {
+                continue;
+            }
+            folded += count;
+            self.tag_count[t].fetch_add(count, Ordering::Relaxed);
+            self.tag_bytes[t].fetch_add(bytes, Ordering::Relaxed);
+            self.tag_remote_count[t].fetch_add(remote_count, Ordering::Relaxed);
+            self.tag_remote_bytes[t].fetch_add(remote_bytes, Ordering::Relaxed);
+            out_msgs += remote_count;
+            out_bytes += remote_bytes;
         }
+        if log.high_water > 0 {
+            self.tag_high_water
+                .fetch_max(log.high_water as u64, Ordering::Relaxed);
+            log.high_water = 0;
+        }
+        let ps = &self.phase[src];
+        ps.msgs_out.fetch_add(out_msgs, Ordering::Relaxed);
+        ps.bytes_out.fetch_add(out_bytes, Ordering::Relaxed);
+        folded
     }
 
     /// Charge `ns` nanoseconds of (virtual) compute time to `rank`.
@@ -295,24 +382,16 @@ impl Stats {
         }
         TrafficMatrix { n_ranks: n, tags }
     }
+}
 
-    /// Reset the cumulative per-tag counters (phase counters are reset at
-    /// every barrier automatically). Useful for scoping measurements to one
-    /// algorithm phase, as the paper does for the neighbor-check step.
-    pub fn reset_tags(&self) {
-        let n = self.n_ranks;
-        for t in 0..self.high_water() {
-            self.tag_count[t].store(0, Ordering::Relaxed);
-            self.tag_bytes[t].store(0, Ordering::Relaxed);
-            self.tag_remote_count[t].store(0, Ordering::Relaxed);
-            self.tag_remote_bytes[t].store(0, Ordering::Relaxed);
-            for cell in &self.matrix_count[t * n * n..(t + 1) * n * n] {
-                cell.store(0, Ordering::Relaxed);
-            }
-            for cell in &self.matrix_bytes[t * n * n..(t + 1) * n * n] {
-                cell.store(0, Ordering::Relaxed);
-            }
-        }
+#[cfg(test)]
+impl Stats {
+    /// Log one send from `src` and fold it straight away, as a barrier
+    /// would.
+    pub(crate) fn fold_one(&self, tag: u16, bytes: usize, src: usize, dest: usize) {
+        let mut log = SendLog::new(self.n_ranks);
+        log.record(tag, bytes, dest);
+        assert_eq!(self.fold(src, &mut log), 1);
     }
 }
 
@@ -321,11 +400,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_send_accumulates_per_tag() {
+    fn fold_accumulates_per_tag() {
         let s = Stats::new(4);
-        s.record_send(3, 100, 0, 1);
-        s.record_send(3, 50, 1, 1); // local: no remote accounting
-        s.record_send(5, 10, 2, 3);
+        s.fold_one(3, 100, 0, 1);
+        s.fold_one(3, 50, 1, 1); // local: no remote accounting
+        s.fold_one(5, 10, 2, 3);
         let t3 = s.tag(3);
         assert_eq!(t3.count, 2);
         assert_eq!(t3.bytes, 150);
@@ -339,7 +418,7 @@ mod tests {
     #[test]
     fn phase_counters_track_in_and_out() {
         let s = Stats::new(2);
-        s.record_send(0, 64, 0, 1);
+        s.fold_one(0, 64, 0, 1);
         assert_eq!(s.phase[0].msgs_out.load(Ordering::Relaxed), 1);
         assert_eq!(s.phase[0].bytes_out.load(Ordering::Relaxed), 64);
         assert_eq!(s.phase[1].msgs_in.load(Ordering::Relaxed), 1);
@@ -352,7 +431,7 @@ mod tests {
     #[test]
     fn transport_traffic_lands_in_its_own_cells() {
         let s = Stats::new(2);
-        s.record_send(0, 64, 0, 1);
+        s.fold_one(0, 64, 0, 1);
         s.record_transport(0, 1, 100); // retransmit of the same frame
         s.record_transport(1, 1, 999); // local: ignored entirely
         assert_eq!(s.phase[0].msgs_out.load(Ordering::Relaxed), 1);
@@ -377,49 +456,60 @@ mod tests {
     #[test]
     fn nonzero_tags_lists_only_used() {
         let s = Stats::new(2);
-        s.record_send(1, 8, 0, 1);
-        s.record_send(4, 8, 0, 1);
+        s.fold_one(1, 8, 0, 1);
+        s.fold_one(4, 8, 0, 1);
         let tags: Vec<u16> = s.nonzero_tags().into_iter().map(|(t, _, _)| t).collect();
         assert_eq!(tags, vec![1, 4]);
-    }
-
-    #[test]
-    fn reset_tags_clears_cumulative() {
-        let s = Stats::new(2);
-        s.record_send(1, 8, 0, 1);
-        s.reset_tags();
-        assert_eq!(s.total().count, 0);
     }
 
     #[test]
     fn high_water_bounds_scans() {
         let s = Stats::new(2);
         assert_eq!(s.high_water(), 0);
-        s.record_send(5, 8, 0, 1);
+        s.fold_one(5, 8, 0, 1);
         assert_eq!(s.high_water(), 6);
         s.name_tag(9, "late"); // naming alone also raises the mark
         assert_eq!(s.high_water(), 10);
-        s.record_send(2, 8, 0, 1);
+        s.fold_one(2, 8, 0, 1);
         assert_eq!(s.high_water(), 10); // monotone
         assert_eq!(s.total().count, 2);
-        s.reset_tags();
-        assert_eq!(s.total().count, 0);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_tag_is_a_hard_error() {
-        let s = Stats::new(1);
-        s.record_send(MAX_TAGS as u16, 8, 0, 0);
+        SendLog::new(1).record(MAX_TAGS as u16, 8, 0);
+    }
+
+    #[test]
+    fn fold_moves_a_whole_log_and_empties_it() {
+        let s = Stats::new(3);
+        let mut log = SendLog::new(3);
+        log.record(2, 10, 0);
+        log.record(2, 20, 1);
+        log.record(2, 30, 1);
+        log.record(5, 7, 2);
+        assert_eq!(s.total().count, 0, "sends stay rank-local until a fold");
+        assert_eq!(s.fold(0, &mut log), 4);
+        assert_eq!(s.fold(0, &mut log), 0, "a folded log is empty");
+        let t2 = s.tag(2);
+        assert_eq!((t2.count, t2.bytes), (3, 60));
+        assert_eq!((t2.remote_count, t2.remote_bytes), (2, 50));
+        assert_eq!(s.matrix().tags[0].counts, vec![1, 2, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(s.phase[0].msgs_out.load(Ordering::Relaxed), 3);
+        assert_eq!(s.phase[0].bytes_out.load(Ordering::Relaxed), 57);
+        assert_eq!(s.phase[1].msgs_in.load(Ordering::Relaxed), 2);
+        assert_eq!(s.phase[2].bytes_in.load(Ordering::Relaxed), 7);
+        assert_eq!(s.high_water(), 6);
     }
 
     #[test]
     fn matrix_cells_track_edges_including_diagonal() {
         let s = Stats::new(3);
-        s.record_send(2, 100, 0, 1);
-        s.record_send(2, 40, 0, 1);
-        s.record_send(2, 7, 1, 1); // local send lands on the diagonal
-        s.record_send(4, 9, 2, 0);
+        s.fold_one(2, 100, 0, 1);
+        s.fold_one(2, 40, 0, 1);
+        s.fold_one(2, 7, 1, 1); // local send lands on the diagonal
+        s.fold_one(4, 9, 2, 0);
         let m = s.matrix();
         assert_eq!(m.n_ranks, 3);
         assert_eq!(m.tags.len(), 2);
@@ -435,9 +525,9 @@ mod tests {
         // The invariant the report layer relies on: per-tag cell sums equal
         // the cumulative tag counters, and transport traffic stays out.
         let s = Stats::new(2);
-        s.record_send(1, 100, 0, 1);
-        s.record_send(1, 50, 1, 0);
-        s.record_send(1, 25, 0, 0);
+        s.fold_one(1, 100, 0, 1);
+        s.fold_one(1, 50, 1, 0);
+        s.fold_one(1, 25, 0, 0);
         s.record_transport(0, 1, 999); // retransmit: phase counters only
         let m = s.matrix();
         let t1 = &m.tags[0];
@@ -451,16 +541,6 @@ mod tests {
             .map(|(s_, d)| t1.bytes[s_ * 2 + d])
             .sum();
         assert_eq!(remote_bytes, s.tag(1).remote_bytes);
-    }
-
-    #[test]
-    fn reset_tags_clears_matrix() {
-        let s = Stats::new(2);
-        s.record_send(1, 8, 0, 1);
-        s.reset_tags();
-        assert!(s.matrix().tags.is_empty());
-        s.record_send(1, 8, 1, 0);
-        assert_eq!(s.matrix().tags[0].counts, vec![0, 0, 1, 0]);
     }
 
     #[test]

@@ -160,6 +160,8 @@ pub(crate) struct Shared {
     pub n_ranks: usize,
     pub barrier: PoisonBarrier,
     pub senders: Vec<Sender<Packet>>,
+    /// Termination counters: messages sent and dispatched world-wide, as
+    /// of each rank's last barrier-entry fold (`Comm::fold_counters`).
     pub sent: AtomicU64,
     pub processed: AtomicU64,
     pub stats: Stats,

@@ -156,3 +156,113 @@ fn max_tag_value_survives_the_header() {
         assert_eq!(bytes.get_u16_le(), tag);
     }
 }
+
+/// The per-element reference encoding of a `Vec<T>`: the `u32` count,
+/// then each element's own [`Wire::encode`].
+fn per_element<T: Wire>(items: &[T]) -> Vec<u8> {
+    let mut buf = BytesMut::new();
+    buf.put_u32_le(items.len() as u32);
+    for item in items {
+        item.encode(&mut buf);
+    }
+    buf.as_slice().to_vec()
+}
+
+/// Encode `items` as a `Vec<T>` (the bulk slice path for primitives),
+/// check the bytes against the per-element reference and `wire_size`,
+/// and return what decoding them gives back.
+fn bulk_round_trip<T: Wire + Clone>(items: &[T]) -> Vec<T> {
+    let v = items.to_vec();
+    let enc = encode_to_bytes(&v);
+    assert_eq!(enc.as_slice(), per_element(items).as_slice());
+    assert_eq!(enc.len(), v.wire_size());
+    decode_from_bytes(enc)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `Vec<prim>` encodes byte for byte like the element-by-element loop
+    /// and decodes back exactly, for every primitive the codec bulk-copies,
+    /// including empty vectors.
+    #[test]
+    fn bulk_vec_codec_matches_per_element_encoding(
+        a in prop::collection::vec(any::<u8>(), 0..40),
+        b in prop::collection::vec(any::<u16>(), 0..40),
+        c in prop::collection::vec(any::<u32>(), 0..40),
+        d in prop::collection::vec(any::<u64>(), 0..40),
+        e in prop::collection::vec(any::<i32>(), 0..40),
+        f in prop::collection::vec(any::<i64>(), 0..40),
+    ) {
+        prop_assert_eq!(bulk_round_trip(&a), a);
+        prop_assert_eq!(bulk_round_trip(&b), b);
+        prop_assert_eq!(bulk_round_trip(&c), c);
+        prop_assert_eq!(bulk_round_trip(&d), d);
+        prop_assert_eq!(bulk_round_trip(&e), e);
+        prop_assert_eq!(bulk_round_trip(&f), f);
+    }
+
+    /// Float vectors from arbitrary bit patterns (NaN payloads, signed
+    /// zeros, subnormals) encode like the per-element loop and decode back
+    /// bit for bit.
+    #[test]
+    fn bulk_float_vecs_round_trip_bit_exactly(
+        bits32 in prop::collection::vec(any::<u32>(), 0..40),
+        bits64 in prop::collection::vec(any::<u64>(), 0..40),
+    ) {
+        let xs: Vec<f32> = bits32.iter().map(|&b| f32::from_bits(b)).collect();
+        let back: Vec<u32> = bulk_round_trip(&xs).iter().map(|x| x.to_bits()).collect();
+        prop_assert_eq!(back, bits32);
+        let ys: Vec<f64> = bits64.iter().map(|&b| f64::from_bits(b)).collect();
+        let back: Vec<u64> = bulk_round_trip(&ys).iter().map(|y| y.to_bits()).collect();
+        prop_assert_eq!(back, bits64);
+    }
+}
+
+#[test]
+fn bulk_codec_covers_special_floats_and_empty_vectors() {
+    let specials = [
+        -0.0f32,
+        0.0,
+        f32::NAN,
+        f32::from_bits(0x7FC0_1234), // quiet NaN with a payload
+        f32::from_bits(0xFF80_0001), // signalling NaN, sign set
+        f32::MIN_POSITIVE / 2.0,     // subnormal
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+    ];
+    let back = bulk_round_trip(&specials);
+    assert_eq!(
+        back.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+        specials.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+    );
+    let specials64 = [-0.0f64, f64::from_bits(0x7FF8_0000_0000_BEEF), f64::MIN];
+    let back = bulk_round_trip(&specials64);
+    assert_eq!(
+        back.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+        specials64.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+    );
+    assert!(bulk_round_trip::<u8>(&[]).is_empty());
+    assert!(bulk_round_trip::<f32>(&[]).is_empty());
+    assert!(bulk_round_trip::<i64>(&[]).is_empty());
+}
+
+/// A frame one byte short must fail loudly on decode rather than read
+/// past the payload into whatever follows it.
+#[test]
+fn truncated_bulk_frame_panics_on_decode() {
+    let enc = encode_to_bytes(&vec![1.5f32, -2.25, 3.0]);
+    let short = enc.slice(0..enc.len() - 1);
+    let result = std::panic::catch_unwind(|| {
+        let mut b = short.clone();
+        <Vec<f32> as Wire>::decode(&mut b)
+    });
+    assert!(result.is_err(), "decoding a truncated Vec<f32> must panic");
+    let enc = encode_to_bytes(&vec![7u8; 5]);
+    let short = enc.slice(0..enc.len() - 1);
+    let result = std::panic::catch_unwind(|| {
+        let mut b = short.clone();
+        <Vec<u8> as Wire>::decode(&mut b)
+    });
+    assert!(result.is_err(), "decoding a truncated Vec<u8> must panic");
+}
