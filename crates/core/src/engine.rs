@@ -412,8 +412,8 @@ where
         // transient entrants that a later, closer candidate evicts), the
         // set difference is a pure function of the delivered message
         // multiset — message-arrival order cannot flip the termination
-        // decision.
-        // All per-vertex lists below are indexed by local offset.
+        // decision. This and the per-vertex lists below are indexed by
+        // local offset, like `State`'s.
         let start_ids: Vec<Vec<PointId>> = {
             let mut s = st.borrow_mut();
             s.attempts = 0;

@@ -332,10 +332,6 @@ impl BufMut for Vec<u8> {
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
     }
-
-    fn put_bytes(&mut self, val: u8, cnt: usize) {
-        self.resize(self.len() + cnt, val);
-    }
 }
 
 #[cfg(test)]
@@ -376,7 +372,7 @@ mod tests {
         w[1..].copy_from_slice(&7u32.to_le_bytes());
         assert_eq!(w.as_slice(), &[9, 7, 0, 0, 0]);
         let mut v: Vec<u8> = Vec::new();
-        v.put_bytes(0xAB, 2);
+        v.put_bytes(0xAB, 2); // the trait's default body
         assert_eq!(v, vec![0xAB, 0xAB]);
     }
 

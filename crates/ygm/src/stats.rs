@@ -156,28 +156,27 @@ impl SendLog {
 /// transport-level traffic are still added as they happen.
 pub struct Stats {
     n_ranks: usize,
-    tag_count: Box<[CachePadded<AtomicU64>]>,
-    tag_bytes: Box<[CachePadded<AtomicU64>]>,
-    tag_remote_count: Box<[CachePadded<AtomicU64>]>,
-    tag_remote_bytes: Box<[CachePadded<AtomicU64>]>,
-    /// Rank×rank×tag traffic cells, `(tag * n + src) * n + dest`. Flat
-    /// unpadded atomics: each (tag, src) row is written by one rank only,
-    /// so false sharing is bounded and the `MAX_TAGS · n²` footprint stays
-    /// small.
+    /// Per-tag totals. Unpadded, like every counter a send reaches: they
+    /// are written once per rank per barrier round, by the fold.
+    tag_count: Box<[AtomicU64]>,
+    tag_bytes: Box<[AtomicU64]>,
+    tag_remote_count: Box<[AtomicU64]>,
+    tag_remote_bytes: Box<[AtomicU64]>,
+    /// Rank×rank×tag traffic cells, `(tag * n + src) * n + dest`.
     matrix_count: Box<[AtomicU64]>,
     matrix_bytes: Box<[AtomicU64]>,
     tag_names: Mutex<HashMap<u16, String>>,
     /// One past the highest tag index ever used (sent, registered, or
     /// named). Lets full-table scans stop at the tags actually in play
     /// instead of walking all `MAX_TAGS` slots.
-    tag_high_water: CachePadded<AtomicU64>,
+    tag_high_water: AtomicU64,
+    /// Padded per rank: each rank charges its own `compute_ns` as it
+    /// evaluates distances.
     pub(crate) phase: Box<[CachePadded<PhaseCounters>]>,
 }
 
-fn atomic_array(n: usize) -> Box<[CachePadded<AtomicU64>]> {
-    (0..n)
-        .map(|_| CachePadded::new(AtomicU64::new(0)))
-        .collect()
+fn atomic_array(n: usize) -> Box<[AtomicU64]> {
+    (0..n).map(|_| AtomicU64::new(0)).collect()
 }
 
 impl Stats {
@@ -189,10 +188,10 @@ impl Stats {
             tag_bytes: atomic_array(MAX_TAGS),
             tag_remote_count: atomic_array(MAX_TAGS),
             tag_remote_bytes: atomic_array(MAX_TAGS),
-            matrix_count: (0..cells).map(|_| AtomicU64::new(0)).collect(),
-            matrix_bytes: (0..cells).map(|_| AtomicU64::new(0)).collect(),
+            matrix_count: atomic_array(cells),
+            matrix_bytes: atomic_array(cells),
             tag_names: Mutex::new(HashMap::new()),
-            tag_high_water: CachePadded::new(AtomicU64::new(0)),
+            tag_high_water: AtomicU64::new(0),
             phase: (0..n_ranks)
                 .map(|_| CachePadded::new(PhaseCounters::default()))
                 .collect(),
